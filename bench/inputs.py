@@ -88,8 +88,6 @@ DEEP_LINE = _case("deep-line", [(1,), (3000,)], [(1,)], [1], [], [(1,)])
 
 # --- divisor complexes: components and nonempty strata --------------------
 
-LINE = (("D",), [[], ["D"]])
-TWO_DIVISORS = (("A", "B"), [[], ["A"], ["B"], ["A", "B"]])
 # The README's snc scene: three lines in the plane, no triple point.
 THREE_DIVISORS = ((1, 2, 3), [[], [1], [2], [3], [1, 2], [1, 3], [2, 3]])
 

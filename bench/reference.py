@@ -123,13 +123,6 @@ def check_standard(chars, level) -> list[str]:
     return [] if list(chars) == expected else ["standard order differs from the numeric order"]
 
 
-def check_subsequence(small, big, n) -> list[str]:
-    """Stage n-1 is the subsequence of stage n that lives at level (n-1)!."""
-    sub_fact = math.factorial(n - 1)
-    restricted = [chi for chi in big if all(sub_fact % q == 0 for _, q in chi)]
-    return [] if restricted == list(small) else [f"stage {n - 1} is not a subsequence of stage {n}"]
-
-
 # --- counts and values -------------------------------------------------------
 
 

@@ -25,14 +25,14 @@ from dataclasses import dataclass  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(ROOT, "bench", "results")
 # A loop stops starting rounds after this long, so a run ends within its
-# time limit even when the program has become much slower.
-MAX_LOOP_S = 120.0
+# time limit even when the program has become much slower; a traced run
+# makes two loops.
+MAX_LOOP_S = 70.0
 
 
 @dataclass
 class Loop:
     times: list
-    attempted: int
     failed: int
     rounds: int
     elapsed: float
@@ -43,34 +43,29 @@ class Loop:
 
 
 def run_loop(wl, seconds: float, min_ops: int, tracer=None) -> Loop:
-    """Closed loop over whole rounds of the workload's tasks, one operation
+    """Closed loop over whole rounds of the workload's steps, one operation
     at a time, until `seconds` have passed and `min_ops` were timed."""
-    times, attempted, failed, rounds = [], 0, 0, 0
+    times, failed, rounds = [], 0, 0
     start = time.perf_counter()
     while True:
-        order = list(wl.tasks)
+        order = list(wl.steps)
         wl.rng.shuffle(order)
-        for task in order:
-            attempted += len(task)
-            prev = None
-            for i, step in enumerate(task):
-                t0 = time.perf_counter()
-                try:
-                    out = step.run(prev) if tracer is None else tracer.op(step.name, step.run, prev)
-                    raised = False
-                except Exception:  # counted as a failed operation
-                    out, raised = None, True
-                times.append(time.perf_counter() - t0)
-                if not raised:
-                    wl.observe(step, out)
-                if raised or wl.failed(step, out):
-                    failed += len(task) - i  # the steps left in the task cannot run
-                    break
-                prev = out
+        for step in order:
+            t0 = time.perf_counter()
+            try:
+                out = step.run() if tracer is None else tracer.op(step.name, step.run)
+                raised = False
+            except Exception:  # counted as a failed operation
+                out, raised = None, True
+            times.append(time.perf_counter() - t0)
+            if not raised:
+                wl.observe(step, out)
+            if raised or wl.failed(step, out):
+                failed += 1
         rounds += 1
         elapsed = time.perf_counter() - start
         if (elapsed >= seconds and len(times) >= min_ops) or elapsed >= MAX_LOOP_S:
-            return Loop(times, attempted, failed, rounds, elapsed)
+            return Loop(times, failed, rounds, elapsed)
 
 
 def peak_rss_mb(wl) -> float:
@@ -127,7 +122,7 @@ def main(argv=None) -> int:
         print(f"bench: {p}", file=sys.stderr)
     result = {
         "correct": not problems,
-        "attempted": sum(x.attempted for x in loops),
+        "attempted": sum(len(x.times) for x in loops),
         "failed": sum(x.failed for x in loops),
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }

@@ -55,14 +55,6 @@ def test_tower_check_rejects_a_dropped_label_and_a_wrong_zero_flag():
     assert ref.check_tower([(chi, stratum, level, not zero, norm)] + rows[1:], comps, 2, nonempty)
 
 
-def test_subsequence_check():
-    cx = complexes.snc_from_divisors(*inputs.TWO_DIVISORS)
-    small = [row[0] for row in map(_label_row, psod.psod_infinite(cx, 2).labels)]
-    big = [row[0] for row in map(_label_row, psod.psod_infinite(cx, 3).labels)]
-    assert ref.check_subsequence(small, big, 3) == []
-    assert ref.check_subsequence(small[::-1], big, 3)
-
-
 def test_report_check_rejects_a_row_count_off_by_one():
     comps, nonempty = inputs.THREE_DIVISORS
     cx = complexes.snc_from_divisors(comps, nonempty)

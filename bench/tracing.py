@@ -131,10 +131,10 @@ class Tracer:
         traced.__doc__ = fn.__doc__
         return traced
 
-    def op(self, name: str, fn, arg):
+    def op(self, name: str, fn):
         """Run one benchmark operation under a root span of its own."""
         self.last_op = self._next
-        return self.wrap(f"op.{name}", fn)(arg)
+        return self.wrap(f"op.{name}", fn)()
 
 
 def _hook_for(tracer: Tracer, name: str):

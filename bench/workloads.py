@@ -1,11 +1,9 @@
-"""The benchmark's four workloads.
+"""The benchmark's three workloads.
 
-A workload is a list of tasks; a task is a short list of steps, each step
-one timed operation that receives the previous step's output (a descriptor
-build, then its to_json).  The seed draws the order of the tasks in every
-round, the invariant values of the assignments and the order of monoid
-generators; the make-up of the inputs is fixed, so every round does the
-same work.
+A workload is a list of steps, each step one timed operation.  The seed
+draws the order of the steps in every round, the invariant values of the
+assignments and the order of monoid generators; the make-up of the inputs
+is fixed, so every round does the same work.
 
 Every step has a fingerprint, a small summary of its output that must be
 the same each time the step runs, and a check against the reference
@@ -36,14 +34,9 @@ import tracing
 @dataclass
 class Step:
     name: str
-    run: Callable[[Any], Any]
+    run: Callable[[], Any]
     fingerprint: Callable[[Any], Any]
-    check: Callable[[Any, dict], list]
-
-
-def _sample(seq) -> list:
-    n = len(seq)
-    return [seq[i] for i in sorted({0, n // 4, n // 2, 3 * n // 4, n - 1})] if n else []
+    check: Callable[[Any], list]
 
 
 def _label_row(lab) -> tuple:
@@ -86,7 +79,7 @@ A1_MOVED = [frozenset("R" + str(j + 1) for j in s) for s in ref.moved_sets(
 
 
 class Workload:
-    """Tasks, the fingerprints seen so far and the problems found.
+    """Steps, the fingerprints seen so far and the problems found.
 
     Steps call the program through its modules' attributes (psod.psod_nc,
     not a name imported from it), so the tracing wrappers reach them.
@@ -98,7 +91,7 @@ class Workload:
     def __init__(self, seed: int, root: str) -> None:
         self.rng = random.Random(seed)
         self.root = root
-        self.tasks: list[list[Step]] = []
+        self.steps: list[Step] = []
         self.problems: list[str] = []
         self.tracer: Optional[tracing.Tracer] = None
         self._seen: dict[str, Any] = {}
@@ -106,14 +99,12 @@ class Workload:
     def setup(self) -> None:
         """Build the inputs and run one warm-up pass."""
         self.build()
-        for task in self.tasks:
-            prev = None
-            for step in task:
-                try:
-                    prev = step.run(prev)
-                except Exception:  # the timed loop counts it as failed
-                    break
-                self.observe(step, prev)
+        for step in self.steps:
+            try:
+                out = step.run()
+            except Exception:  # the timed loop counts it as failed
+                continue
+            self.observe(step, out)
 
     def build(self) -> None:
         raise NotImplementedError
@@ -129,19 +120,16 @@ class Workload:
             self.problems.append(f"{step.name}: output changed between runs")
 
     def check(self) -> list[str]:
-        """Run every task once more, outside the timed loop, and check each
+        """Run every step once more, outside the timed loop, and check each
         output against the reference computations."""
-        ctx: dict = {}
-        for task in self.tasks:
-            prev = None
-            for step in task:
-                try:
-                    prev = step.run(prev)
-                except Exception as exc:  # reported as a problem, the other tasks still run
-                    self.problems.append(f"{step.name}: raised {exc!r}")
-                    break
-                self.observe(step, prev)
-                self.problems += [f"{step.name}: {p}" for p in step.check(prev, ctx)]
+        for step in self.steps:
+            try:
+                out = step.run()
+            except Exception as exc:  # reported as a problem, the other steps still run
+                self.problems.append(f"{step.name}: raised {exc!r}")
+                continue
+            self.observe(step, out)
+            self.problems += [f"{step.name}: {p}" for p in step.check(out)]
         return self.problems
 
     def trace(self, tracer: tracing.Tracer) -> None:
@@ -150,81 +138,6 @@ class Workload:
 
     def close(self) -> None:
         pass
-
-
-# --- psod-tower ---------------------------------------------------------------
-
-
-class PsodTower(Workload):
-    """Label towers: psod_infinite, psod_nc, psod_simplicial, each followed
-    by to_json of its descriptor, and embedding_check in all three modes."""
-
-    def build(self) -> None:
-        from logsod import psod
-        from logsod.complexes import nc_from_json, snc_from_divisors
-
-        snc = {key: (comps, nonempty, snc_from_divisors(comps, nonempty))
-               for key, (comps, nonempty) in (("one", inputs.LINE), ("two", inputs.TWO_DIVISORS),
-                                              ("three", inputs.THREE_DIVISORS))}
-        for key, stages in (("one", (5, 6, 7)), ("two", (4, 5)), ("three", (3, 4))):
-            comps, nonempty, cx = snc[key]
-            for n in stages:
-                self._tower_task(f"psod_infinite:{key}:{n}", lambda _, cx=cx, n=n: psod.psod_infinite(cx, n),
-                                 comps, n, nonempty, tower=key)
-        for key, scene, stages in (("nodal", inputs.NODAL, (4, 5)), ("two-node", inputs.TWO_NODE, (3,))):
-            nc = nc_from_json(scene)
-            strict = inputs.NC_STRICT[key]
-            for n in stages:
-                self._tower_task(f"psod_nc:{key}:{n}", lambda _, nc=nc, n=n: psod.psod_nc(nc, n),
-                                 strict["components"], n, strict["nonempty"], strict=strict)
-        chart = _a1_chart()
-        self._tower_task("psod_simplicial:a1:4", lambda _: psod.psod_simplicial(chart, 4),
-                         ("R1", "R2"), 4, [[], ["R1"], ["R2"], ["R1", "R2"]])
-        for key, n, mode in (("two", 5, "full"), ("three", 5, "sublevel"),
-                             ("two", 6, "sublevel"), ("three", 6, "sampled")):
-            cx = snc[key][2]
-            self.tasks.append([Step(
-                f"embedding_check:{key}:{n}",
-                lambda _, cx=cx, n=n: psod.embedding_check(cx, n),
-                lambda r: (r["passed"], r["mode"], len(r["counterexamples"])),
-                lambda r, ctx, mode=mode: _check_embedding(r, mode),
-            )])
-
-    def _tower_task(self, name, build, comps, n, nonempty, tower=None, strict=None) -> None:
-        normalized = strict["normalized"] if strict else None
-
-        def check_desc(desc, ctx):
-            rows = [_label_row(lab) for lab in desc.labels]
-            bad = ref.check_tower(rows, comps, n, nonempty, normalized)
-            if desc.truncation != n or desc.order != "factorial" or tuple(desc.components) != tuple(comps):
-                bad.append("descriptor header is wrong")
-            if strict and desc.base_breakdown != strict["base_breakdown"]:
-                bad.append(f"base breakdown {desc.base_breakdown}")
-            if tower:
-                chars = [row[0] for row in rows]
-                if (tower, n - 1) in ctx:
-                    bad += ref.check_subsequence(ctx[(tower, n - 1)], chars, n)
-                ctx[(tower, n)] = chars
-            return bad
-
-        def check_json(d, ctx):
-            json.dumps(d)
-            return ref.check_tower([_json_label_row(x) for x in d["labels"]], comps, n, nonempty, normalized)
-
-        self.tasks.append([
-            Step(name, build, lambda d: (len(d.labels), [_label_row(x) for x in _sample(d.labels)]), check_desc),
-            Step(name + ":to_json", lambda desc: desc.to_json(),
-                 lambda d: (len(d["labels"]), json.dumps(_sample(d["labels"]))), check_json),
-        ])
-
-
-def _check_embedding(report: dict, mode: str) -> list[str]:
-    bad = []
-    if report["mode"] != mode:
-        bad.append(f"mode {report['mode']}, expected {mode}")
-    if not report["passed"] or report["counterexamples"]:
-        bad.append(f"embedding fails: {report['counterexamples'][:3]}")
-    return bad
 
 
 # --- decompose-counts --------------------------------------------------------------
@@ -259,39 +172,46 @@ class DecomposeCounts(Workload):
         nodal = nc_from_json(inputs.NODAL)
         chart = _a1_chart()
         _, fixed = canonical_root_pair(chart)
-        # The heaviest calls come twice, in two value systems, so that the
-        # 90th percentile falls inside their cluster rather than at its edge.
-        for k, (level, p) in enumerate([*product((120, 720), (2, 3, 5)), (720, 5)]):
-            system = systems[k % 3]
-            self._task(f"etale_filter:{level}:p{p}:{system}",
+        # Per-call times scatter by a fifth or more within a run, so the
+        # make-up places each percentile in the middle of a group of calls
+        # rather than at the edge between two groups.  A round has 23 calls:
+        # nine under 7 ms, four of 10-18 ms around the median (etale_filter
+        # at level 120 with p = 2 and 5, decompose_nc at stage 4, the A1
+        # chart at t = 24), and the heaviest call, etale_filter at level 720
+        # with p = 5, in all three value systems for the 90th percentile.
+        etale = [(24, 2, "int_vector"), (24, 3, "poly")] + [
+            (level, p, systems[k % 3])
+            for k, (level, p) in enumerate([*product((120, 720), (2, 3, 5)), (720, 5), (720, 5)])]
+        for level, p, system in etale:
+            self._step(f"etale_filter:{level}:p{p}:{system}",
                        lambda v, p=p, level=level: D.etale_filter(p2, v, p, level=(level,) * 3),
                        assign("three", system), values["three", system],
                        ref.etale_counts(comps, nonempty, (level,) * 3, p))
         for n, system in ((4, "poly"), (5, "int"), (5, "int_vector")):
-            self._task(f"decompose_nc:nodal:{n}:{system}", lambda v, n=n: D.decompose_nc(nodal, v, n),
+            self._step(f"decompose_nc:nodal:{n}:{system}", lambda v, n=n: D.decompose_nc(nodal, v, n),
                        assign("nodal", system), values["nodal", system], ref.nodal_counts(n))
         for t, system in ((6, "int"), (24, "int_vector"), (60, "poly"), (120, "int")):
-            self._task(f"decompose_simplicial_complexified:a1:{t}:{system}",
+            self._step(f"decompose_simplicial_complexified:a1:{t}:{system}",
                        lambda v, t=t: D.decompose_simplicial_complexified(chart, fixed, v, t),
                        assign("a1", system), values["a1", system],
                        ref.fixed_locus_counts(("R1", "R2"), A1_MOVED, t))
         for system in systems:
-            self._task(f"decompose_finite:{system}", lambda v: D.decompose_finite(p2, (5, 7, 12), v),
+            self._step(f"decompose_finite:{system}", lambda v: D.decompose_finite(p2, (5, 7, 12), v),
                        assign("three", system), values["three", system],
                        ref.finite_counts(comps, nonempty, (5, 7, 12)))
-            self._task(f"decompose_kfl:{system}", lambda v: D.decompose_kfl(p2, v, 5),
+            self._step(f"decompose_kfl:{system}", lambda v: D.decompose_kfl(p2, v, 5),
                        assign("three", system), values["three", system],
                        ref.kfl_counts(comps, nonempty, 5))
 
-    def _task(self, name, call, assignment, values, counts) -> None:
+    def _step(self, name, call, assignment, values, counts) -> None:
         system = assignment.value_system
 
-        def check(report, ctx):
+        def check(report):
             rows, base, total = _report_parts(report)
             return ref.check_report(rows, base, total, counts, values, system)
 
-        self.tasks.append([Step(name, lambda _: call(assignment),
-                                lambda r: (r.total, tuple((x.stratum, x.count) for x in r.rows)), check)])
+        self.steps.append(Step(name, lambda: call(assignment),
+                               lambda r: (r.total, tuple((x.stratum, x.count) for x in r.rows)), check))
 
 
 # --- monoid-library ------------------------------------------------------------------
@@ -348,8 +268,8 @@ class MonoidLibrary(Workload):
                      [moved for _, moved in out[1].fixed_components])),
             )
             for op, fn, fp, check in ops:
-                self.tasks.append([Step(f"{op}:{case.name}", lambda _, fn=fn, orders=cycle(pool): fn(next(orders)),
-                                        fp, lambda out, ctx, check=check: check(out))])
+                self.steps.append(Step(f"{op}:{case.name}", lambda fn=fn, orders=cycle(pool): fn(next(orders)),
+                                       fp, check))
 
 
 # --- cli-corpus ----------------------------------------------------------------------
@@ -402,7 +322,7 @@ class CliCorpus(Workload):
             self._scene(key, dict(base, assignment=_assignment_json(system, vals)))
         self._scene("two-node", inputs.TWO_NODE)
         self.calls = _corpus(self)
-        self.tasks = [[Step(c.name, lambda _, c=c: self._run(c), _cli_fingerprint, None)] for c in self.calls]
+        self.steps = [Step(c.name, lambda c=c: self._run(c), _cli_fingerprint, None) for c in self.calls]
         self.by_name = {c.name: c for c in self.calls}
 
     def setup(self) -> None:
@@ -675,7 +595,6 @@ def _check_selfcheck(r, w) -> list[str]:
 
 WORKLOADS = {
     "cli-corpus": CliCorpus,
-    "psod-tower": PsodTower,
     "decompose-counts": DecomposeCounts,
     "monoid-library": MonoidLibrary,
 }
