@@ -9,6 +9,7 @@ rendering.  Exit codes: 0 success, 2 unparseable input, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -51,26 +52,30 @@ EXIT_DOMAIN = 3
 EXIT_SELFCHECK = 4
 
 _EPILOG = (
-    "Scene files are validated against schemas/scene.schema.json (also shipped "
-    "under docs/schemas/). Pass '-' to read the scene from stdin. "
+    "Scene files are validated against the package's schemas/scene.schema.json. "
+    "Pass '-' to read the scene from stdin. "
     "LOGSOD_SEEDLESS=1 (the default) forbids nondeterministic iteration order; "
     "this implementation is unconditionally deterministic, so the variable is "
     "accepted and has no further effect."
 )
 
-_schema_cache: dict | None = None
 
-
+@functools.cache
 def _scene_schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        text = (
-            resources.files("logsod")
-            .joinpath("schemas/scene.schema.json")
-            .read_text(encoding="utf-8")
-        )
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    text = (
+        resources.files("logsod")
+        .joinpath("schemas/scene.schema.json")
+        .read_text(encoding="utf-8")
+    )
+    return json.loads(text)
+
+
+@functools.cache
+def _scene_validator():
+    # The shipped schema is package data, checked against its metaschema by
+    # the tests rather than on every call as jsonschema.validate does.
+    schema = _scene_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def load_scene(path: str) -> dict:
@@ -86,11 +91,10 @@ def load_scene(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, _scene_schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
-        raise ParseError(f"scene fails schema validation at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_scene_validator().iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "top level"
+        raise ParseError(f"scene fails schema validation at {where}: {error.message}") from error
     return data
 
 
@@ -388,6 +392,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (LogsodError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input exceeds this implementation's limits "
+              f"({type(exc).__name__})", file=sys.stderr)
         return EXIT_DOMAIN
 
 

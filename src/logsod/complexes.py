@@ -25,7 +25,6 @@ from logsod.errors import (
 )
 from logsod.intlinalg import smith_normal_form, solve_linear
 from logsod.monoids import ToricMonoid, canonical_kummer_extension, group_lattice
-from logsod.orders import enumerate_characters
 
 __all__ = [
     "BlowupLog",
@@ -40,6 +39,7 @@ __all__ = [
     "is_simple",
     "nc_from_json",
     "normalize_stratum",
+    "normalized_names",
     "snc_from_divisors",
     "snc_of_simple",
     "strictify",
@@ -391,6 +391,41 @@ def normalize_stratum(nc: NcComplex, stratum) -> list[tuple[str, int]]:
     return [(f"{s.name}@{i}", 1) for i in range(1, s.codim + 1)]
 
 
+def normalized_names(
+    nc: NcComplex, simple: NcComplex, snc: SncComplex, stratum
+) -> Optional[tuple[tuple[str, int], ...]]:
+    """Normalized strata of the original pair, with multiplicities, that a
+    stratum of its strictification lies on.
+
+    simple and snc are strictify_nc(nc)'s complex and its snc_of_simple
+    view.  The empty stratum is the total space X; an original component
+    normalizes as in normalize_stratum; an exceptional component stays
+    itself; a deeper stratum lists its witnessing crossings, a blow-up
+    crossing pointing back to the branch it separated.  None when a deeper
+    stratum has no crossing records.
+    """
+    s = frozenset(stratum)
+    if not s:
+        return (("X", 1),)
+    if len(s) == 1:
+        (c,) = s
+        if c in nc.components:
+            return tuple(normalize_stratum(nc, c))
+        return ((str(c), 1),)
+    meta = snc.stratum_meta.get(s)
+    if meta is None:
+        return None
+    out = []
+    for name in meta["crossings"]:
+        origin = simple.crossing(name).origin
+        if origin and origin[0] == "blowup":
+            _, center, branch_index, _, _ = origin
+            out.append((f"{center}@{branch_index}", 1))
+        else:
+            out.append((name, 1))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FixedLocusData:
     """Finite diagonal group action data on the canonical root pair.
@@ -530,7 +565,8 @@ def fixed_locus_index(data: FixedLocusData, stratum: Iterable, truncation: int) 
     characters on the stratum itself plus, per group element whose moved
     coordinates sit inside the stratum, those on the fixed component.
 
-    Counts are taken at cyclic order `truncation` in every coordinate.
+    Counts are taken at cyclic order `truncation` in every coordinate, where
+    a stratum of codimension c carries (truncation - 1)^c nonzero characters.
     """
     s = frozenset(stratum)
     comp = set(data.components)
@@ -539,13 +575,8 @@ def fixed_locus_index(data: FixedLocusData, stratum: Iterable, truncation: int) 
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
 
-    def star_count(codim: int) -> int:
-        orders = [truncation] * max(codim, 1)
-        support = set(range(1, codim + 1))
-        return len(enumerate_characters(orders, support, star=True))
-
-    total = star_count(len(s))
+    total = (truncation - 1) ** len(s)
     for _, moved in data.fixed_components:
         if moved <= s:
-            total += star_count(len(moved))
+            total += (truncation - 1) ** len(moved)
     return total

@@ -3,8 +3,10 @@
 Values are opaque additive data keyed by stratum name: plain integers,
 fixed-length integer vectors, or integer polynomials.  Every operation here
 reduces to the same shape — a base value plus counted copies of stratum
-values — with the count coming from the character enumeration appropriate
-to the level, truncation, fixed-locus, or prime-to-p variant.
+values — with each count a closed form in the cyclic orders: the number of
+nonzero characters on the stratum at the level or truncation, kept prime
+to p, or corrected by fixed-locus copies.  Enumerating those characters
+gives the same counts; the tests and selfcheck do so as an oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from logsod.complexes import (
     SncComplex,
     canonical_root_pair,
     fixed_locus_index,
+    normalized_names,
+    snc_of_simple,
+    strictify_nc,
 )
 from logsod.errors import (
     MissingValue,
@@ -27,8 +32,7 @@ from logsod.errors import (
     UnsupportedAction,
     UnsupportedConfiguration,
 )
-from logsod.orders import enumerate_characters
-from logsod.psod import psod_nc
+from logsod.orders import _is_prime
 
 __all__ = [
     "DecompositionReport",
@@ -83,14 +87,6 @@ def value_scale(system: str, k: int, a: Value) -> Value:
     if system == "int":
         return k * a
     return _normalize_value(system, tuple(k * x for x in a))
-
-
-def _value_zero(system: str, like: Value) -> Value:
-    if system == "int":
-        return 0
-    if system == "int_vector":
-        return (0,) * len(like)
-    return ()
 
 
 def render_value(system: str, v: Value) -> str:
@@ -256,6 +252,35 @@ def _proper_strata(cx: SncComplex) -> list[frozenset]:
     return sorted(cx.strata(proper=True), key=_label_sort_key)
 
 
+def _assemble(
+    kind: str, v: InvariantAssignment, rows: Iterable[tuple], **fields
+) -> DecompositionReport:
+    """Report of v(X) plus count * v(name) per (name, count, counting
+    function) row.
+
+    rows is consumed after v(X) is looked up and each count before its
+    value, so a lazy iterable raises its errors in that order.
+    """
+    system = v.value_system
+    base = v.value_of("X")
+    total = base
+    out = []
+    for name, count, counting_function in rows:
+        val = v.value_of(name)
+        contrib = value_scale(system, count, val)
+        total = value_add(system, total, contrib)
+        out.append(ReportRow(name, count, val, contrib, counting_function))
+    return DecompositionReport(
+        kind=kind,
+        value_system=system,
+        invariant=v.invariant,
+        base_value=base,
+        rows=tuple(out),
+        total=total,
+        **fields,
+    )
+
+
 def decompose_finite(
     cx: SncComplex, level: Iterable[int], v: InvariantAssignment
 ) -> DecompositionReport:
@@ -267,24 +292,13 @@ def decompose_finite(
     if any(r < 1 for r in level):
         raise ValueError("cyclic orders must be positive")
     index = {c: i for i, c in enumerate(cx.components)}
-    base = v.value_of("X")
-    total = base
-    rows = []
-    for j in _proper_strata(cx):
-        mult = 1
-        for c in j:
-            mult *= level[index[c]] - 1
-        val = v.value_of(cx.stratum_name(j))
-        contrib = value_scale(v.value_system, mult, val)
-        total = value_add(v.value_system, total, contrib)
-        rows.append(ReportRow(cx.stratum_name(j), mult, val, contrib))
-    return DecompositionReport(
-        kind="finite",
-        value_system=v.value_system,
-        invariant=v.invariant,
-        base_value=base,
-        rows=tuple(rows),
-        total=total,
+    return _assemble(
+        "finite",
+        v,
+        (
+            (cx.stratum_name(j), math.prod(level[index[c]] - 1 for c in j), None)
+            for j in _proper_strata(cx)
+        ),
         level=level,
         notes=("total = v(X) + sum over nonempty strata of prod_j (r_j - 1) * v(D_J)",),
     )
@@ -298,27 +312,13 @@ def decompose_kfl(
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
     fact = math.factorial(truncation)
-    base = v.value_of("X")
-    total = base
-    rows = []
-    for j in _proper_strata(cx):
-        mult = (fact - 1) ** len(j)
-        val = v.value_of(cx.stratum_name(j))
-        contrib = value_scale(v.value_system, mult, val)
-        total = value_add(v.value_system, total, contrib)
-        rows.append(
-            ReportRow(
-                cx.stratum_name(j), mult, val, contrib,
-                counting_function=f"(n!-1)^{len(j)}",
-            )
-        )
-    return DecompositionReport(
-        kind="kfl",
-        value_system=v.value_system,
-        invariant=v.invariant,
-        base_value=base,
-        rows=tuple(rows),
-        total=total,
+    return _assemble(
+        "kfl",
+        v,
+        (
+            (cx.stratum_name(j), (fact - 1) ** len(j), f"(n!-1)^{len(j)}")
+            for j in _proper_strata(cx)
+        ),
         level=(fact,) * len(cx.components),
         truncation=truncation,
         notes=(
@@ -333,45 +333,47 @@ def decompose_nc(
 ) -> DecompositionReport:
     """Splitting of an nc pair through its strictification.
 
-    Gerbe labels are aggregated by the normalized strata they live on; the
-    base contributes v(X) plus the blow-up copies of each center (codim - 1
-    per step).  The per-stratum multiplicities depend on the strictification
-    order, which this package fixes, so they are reproducible here but not
-    canonical.
+    Each nonempty stratum S of the strictified complex carries (n!-1)^|S|
+    gerbe characters at stage n, and each counts once toward every
+    normalized stratum of the original pair that S lies on
+    (normalized_names).  The base contributes v(X) plus the blow-up copies
+    of each center (codim - 1 per step).  The per-stratum multiplicities
+    depend on the strictification order, which this package fixes, so they
+    are reproducible here but not canonical.
     """
-    desc = psod_nc(nc, truncation)
+    simple, log = strictify_nc(nc)
+    snc = snc_of_simple(simple)
+    if truncation < 1:
+        raise ValueError("truncation must be a positive integer")
+    fact = math.factorial(truncation)
     mults: dict[str, int] = {}
-    for lab in desc.labels:
-        if lab.provenance == "BaseStack" or lab.zero:
+    # In the factorial label order, of two strata the first labels of the
+    # one holding the first component where they differ come first.  Walk
+    # in that order so that an error names the stratum the labels reach
+    # first.
+    walk = sorted(
+        (s for s in snc.nonempty if s),
+        key=lambda s: tuple(c not in s for c in snc.components),
+    )
+    for s in walk:
+        count = (fact - 1) ** len(s)
+        if not count:
             continue
-        if lab.normalized is None:
+        names = normalized_names(nc, simple, snc, s)
+        if names is None:
             raise UnsupportedConfiguration(
-                f"stratum {sorted(lab.stratum, key=str)} has no crossing records "
+                f"stratum {sorted(s, key=str)} has no crossing records "
                 "to aggregate by"
             )
-        for name, k in lab.normalized:
-            mults[name] = mults.get(name, 0) + k
-    base = v.value_of("X")
-    total = base
-    rows = []
-    for center, copies in desc.base_breakdown or ():
-        val = v.value_of(center)
-        contrib = value_scale(v.value_system, copies, val)
-        total = value_add(v.value_system, total, contrib)
-        rows.append(ReportRow(center, copies, val, contrib, counting_function="blow-up"))
-    for name in sorted(mults):
-        val = v.value_of(name)
-        contrib = value_scale(v.value_system, mults[name], val)
-        total = value_add(v.value_system, total, contrib)
-        rows.append(ReportRow(name, mults[name], val, contrib))
-    return DecompositionReport(
-        kind="nc",
-        value_system=v.value_system,
-        invariant=v.invariant,
-        base_value=base,
-        rows=tuple(rows),
-        total=total,
-        level=desc.level,
+        for name, k in names:
+            mults[name] = mults.get(name, 0) + k * count
+    rows = [(step.stratum, step.codim - 1, "blow-up") for step in log.steps]
+    rows += [(name, mults[name], None) for name in sorted(mults)]
+    return _assemble(
+        "nc",
+        v,
+        rows,
+        level=(fact,) * len(snc.components),
         truncation=truncation,
         notes=(
             "multiplicities are truncations induced by the fixed "
@@ -393,27 +395,17 @@ def decompose_simplicial_complexified(
         raise UnsupportedAction(
             "fixed-locus data does not match the chart's canonical root pair"
         )
-    base = g.value_of("X")
-    total = base
-    rows = []
-    for j in _proper_strata(snc):
-        mult = fixed_locus_index(fixed, j, truncation)
-        val = g.value_of(snc.stratum_name(j))
-        contrib = value_scale(g.value_system, mult, val)
-        total = value_add(g.value_system, total, contrib)
-        rows.append(
-            ReportRow(
-                snc.stratum_name(j), mult, val, contrib,
-                counting_function="|Z*_S| + fixed-locus copies",
+    return _assemble(
+        "simplicial-complexified",
+        g,
+        (
+            (
+                snc.stratum_name(j),
+                fixed_locus_index(fixed, j, truncation),
+                "|Z*_S| + fixed-locus copies",
             )
-        )
-    return DecompositionReport(
-        kind="simplicial-complexified",
-        value_system=g.value_system,
-        invariant=g.invariant,
-        base_value=base,
-        rows=tuple(rows),
-        total=total,
+            for j in _proper_strata(snc)
+        ),
         truncation=truncation,
         notes=(
             "coefficient of S counts truncated characters on S plus one set "
@@ -439,7 +431,9 @@ def etale_filter(
     truncation: Optional[int] = None,
 ) -> DecompositionReport:
     """Prime-to-p variant: counts keep only characters whose reduced
-    denominators are coprime to p, via the order-enumeration filter.
+    denominators are coprime to p.  Those of Z_r are the r' characters of
+    Z_{r'}, r' the prime-to-p part of r, so a stratum J counts
+    prod_j (r_j' - 1).
 
     Exactly one of level and truncation must be given; a truncation n means
     the diagonal n! level with the same filter applied.
@@ -452,32 +446,24 @@ def etale_filter(
     if len(level) != len(cx.components):
         raise ValueError("one cyclic order per component required")
     index = {c: i for i, c in enumerate(cx.components)}
-    base = v.value_of("X")
-    total = base
-    rows = []
-    for j in _proper_strata(cx):
-        orders = [level[index[c]] for c in sorted(j, key=lambda c: index[c])]
-        mult = len(
-            enumerate_characters(
-                orders, range(1, len(orders) + 1), star=True, prime_to=p
-            )
-        )
-        val = v.value_of(cx.stratum_name(j))
-        contrib = value_scale(v.value_system, mult, val)
-        total = value_add(v.value_system, total, contrib)
-        rows.append(
-            ReportRow(
-                cx.stratum_name(j), mult, val, contrib,
-                counting_function="prime-to-%d" % p,
-            )
-        )
-    return DecompositionReport(
-        kind="etale",
-        value_system=v.value_system,
-        invariant=v.invariant,
-        base_value=base,
-        rows=tuple(rows),
-        total=total,
+
+    def count(j: frozenset) -> int:
+        # Checked per stratum, so only the orders of nonempty strata are
+        # validated, and an order before the prime.
+        orders = [level[index[c]] for c in j]
+        if any(r < 1 for r in orders):
+            raise ValueError("cyclic orders must be positive")
+        if not _is_prime(p):
+            raise ValueError(f"prime_to must be prime, got {p}")
+        return math.prod(prime_to_part(r, p) - 1 for r in orders)
+
+    return _assemble(
+        "etale",
+        v,
+        (
+            (cx.stratum_name(j), count(j), f"prime-to-{p}")
+            for j in _proper_strata(cx)
+        ),
         level=level,
         truncation=truncation,
         notes=(f"characters with denominator divisible by {p} are dropped",),

@@ -19,7 +19,7 @@ from logsod.complexes import (
     SimplicialChart,
     SncComplex,
     canonical_root_pair,
-    normalize_stratum,
+    normalized_names,
     snc_from_divisors,
     strictify_nc,
     snc_of_simple,
@@ -421,30 +421,10 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     simple, log = strictify_nc(nc)
     snc = snc_of_simple(simple)
     desc = psod_infinite(snc, truncation)
-    origin_of = {s.name: s.origin for s in simple.crossings}
-    originals = set(nc.components)
-
-    def annotate(lab: FactorLabel) -> tuple[tuple[str, int], ...] | None:
-        if not lab.stratum:
-            return (("X", 1),)
-        if len(lab.stratum) == 1:
-            (c,) = lab.stratum
-            if c in originals:
-                return tuple(normalize_stratum(nc, c))
-            return ((str(c), 1),)
-        meta = snc.stratum_meta.get(lab.stratum)
-        if meta is None:
-            return None
-        out = []
-        for name in meta["crossings"]:
-            origin = origin_of.get(name)
-            if origin and origin[0] == "blowup":
-                _, center, branch_index, _, _ = origin
-                out.append((f"{center}@{branch_index}", 1))
-            else:
-                out.append((name, 1))
-        return tuple(out)
-
+    names = {
+        s: normalized_names(nc, simple, snc, s)
+        for s in {lab.stratum for lab in desc.labels}
+    }
     labels = tuple(
         FactorLabel(
             stratum=lab.stratum,
@@ -452,7 +432,7 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
             provenance=lab.provenance,
             zero=lab.zero,
             first_level=lab.first_level,
-            normalized=annotate(lab),
+            normalized=names[lab.stratum],
         )
         for lab in desc.labels
     )

@@ -268,3 +268,24 @@ def root_stack_line_twists(r: int) -> list[str]:
     of the projective line along one point: O(k D/r) for k = 0..r."""
     assert r >= 1
     return [f"O({k}/{r})" for k in range(r + 1)]
+
+
+def nc_rows_from_labels(desc) -> list[tuple]:
+    """Decomposition rows of an nc descriptor, read off its labels.
+
+    desc is a psod_nc descriptor, read only through its attributes.  The
+    base breakdown gives one "blow-up" row per center; then, in name order,
+    each normalized name counts its multiplicity once per nonzero gerbe
+    label on it.  A gerbe label without normalized names raises ValueError
+    naming its stratum, the first such label in descriptor order.
+    """
+    rows = [(center, copies, "blow-up") for center, copies in desc.base_breakdown]
+    counts: dict[str, int] = {}
+    for lab in desc.labels:
+        if lab.provenance == "BaseStack" or lab.zero:
+            continue
+        if lab.normalized is None:
+            raise ValueError(f"stratum {sorted(lab.stratum, key=str)}")
+        for name, k in lab.normalized:
+            counts[name] = counts.get(name, 0) + k
+    return rows + [(name, counts[name], None) for name in sorted(counts)]

@@ -7,7 +7,10 @@ truncated index counts against the closed-form recount built on it.
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logsod.complexes import (
     BlowupStep,
@@ -33,7 +36,9 @@ from logsod.errors import (
     UnsupportedConfiguration,
 )
 from logsod.monoids import ToricMonoid, canonical_kummer_extension
+from logsod.orders import enumerate_characters
 
+from conftest import MONOID_LIBRARY
 from oracles import dual_deck_action
 
 A1 = ToricMonoid(2, ((2, 0), (1, 1), (0, 2)))
@@ -377,6 +382,11 @@ class TestCanonicalRootPair:
             FixedLocusData(("R1",), (2,), ((1, 1),), ())
 
 
+@cache
+def _root_pair_data(monoid: ToricMonoid) -> FixedLocusData:
+    return canonical_root_pair(SimplicialChart((monoid,)))[1]
+
+
 class TestFixedLocusIndex:
     def test_half_diagonal_at_two(self):
         _, data = canonical_root_pair(SimplicialChart((A1,)))
@@ -425,6 +435,25 @@ class TestFixedLocusIndex:
                     )
                     got = fixed_locus_index(data, stratum, r)
                     assert got == expect, (case.name, sorted(stratum), r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_enumerated_star_counts(self, data):
+        case = data.draw(st.sampled_from(MONOID_LIBRARY))
+        fixed = _root_pair_data(case.monoid)
+        stratum = frozenset(data.draw(st.sets(st.sampled_from(fixed.components))))
+        t = data.draw(st.integers(1, 12))
+
+        def star_count(codim):
+            orders = [t] * max(codim, 1)
+            return len(enumerate_characters(orders, range(1, codim + 1), star=True))
+
+        expect = star_count(len(stratum)) + sum(
+            star_count(len(moved))
+            for _, moved in fixed.fixed_components
+            if moved <= stratum
+        )
+        assert fixed_locus_index(fixed, stratum, t) == expect
 
     def test_bad_inputs(self):
         _, data = canonical_root_pair(SimplicialChart((A1,)))

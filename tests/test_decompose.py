@@ -9,14 +9,17 @@ diagonal factorial levels.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logsod.complexes import (
     Crossing,
     FixedLocusData,
     NcComplex,
     SimplicialChart,
+    SncComplex,
     canonical_root_pair,
     fixed_locus_index,
     snc_from_divisors,
@@ -41,15 +44,24 @@ from logsod.errors import (
     UnsupportedConfiguration,
 )
 from logsod.monoids import ToricMonoid
+from logsod.orders import enumerate_characters
 from logsod.psod import psod_nc, psod_snc
 
-from oracles import root_stack_line_twists
+from oracles import nc_rows_from_labels, root_stack_line_twists
 
 A1 = ToricMonoid(2, ((2, 0), (1, 1), (0, 2)))
 FREE2 = ToricMonoid(2, ((1, 0), (0, 1)))
 FREE1 = ToricMonoid(1, ((1,),))
 
 NODAL = NcComplex(("C",), (Crossing("N", (("C", 1), ("C", 2))),), ambient_dim=2)
+TWO_NODE = NcComplex(
+    ("C",),
+    (Crossing("N1", (("C", 1), ("C", 2))), Crossing("N2", (("C", 3), ("C", 4)))),
+    ambient_dim=2,
+)
+TRIPLE = NcComplex(
+    ("C",), (Crossing("T", (("C", 1), ("C", 2), ("C", 3))),), ambient_dim=3
+)
 SIMPLE_X = NcComplex(("A", "B"), (Crossing("S", (("A", 1), ("B", 1))),))
 
 
@@ -296,13 +308,8 @@ class TestDecomposeNc:
         ]
 
     def test_blowup_row_counts_codim_minus_one(self):
-        triple = NcComplex(
-            ("C",),
-            (Crossing("T", (("C", 1), ("C", 2), ("C", 3))),),
-            ambient_dim=3,
-        )
         v = iv({"X": 1, "T": 1, "C": 0, "E1": 0, "T@1": 0, "T@2": 0, "T@3": 0})
-        report = decompose_nc(triple, v, 2)
+        report = decompose_nc(TRIPLE, v, 2)
         assert count_of(report, "T") == 2
         assert report.rows[0].counting_function == "blow-up"
 
@@ -572,3 +579,67 @@ class TestLabelAggregation:
             for name, k in lab.normalized:
                 total += k * v.value_of(name)
         assert decompose_nc(NODAL, v, 2).total == total
+
+
+class TestClosedFormsAgainstEnumeration:
+    """The closed-form counts against the enumeration they replace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_etale_counts_match_enumeration(self, data):
+        k = data.draw(st.integers(1, 3))
+        level = tuple(data.draw(st.lists(st.integers(1, 40), min_size=k, max_size=k)))
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        comps = tuple(range(1, k + 1))
+        strata = [frozenset(j) for size in range(k + 1) for j in combinations(comps, size)]
+        cx = SncComplex(comps, frozenset(strata))
+        by_name = {cx.stratum_name(j): j for j in strata if j}
+        v = iv({"X": 0, **{name: 1 for name in by_name}})
+        report = etale_filter(cx, v, p, level=level)
+        assert {row.stratum for row in report.rows} == set(by_name)
+        for row in report.rows:
+            orders = [level[c - 1] for c in sorted(by_name[row.stratum])]
+            chars = enumerate_characters(
+                orders, range(1, len(orders) + 1), star=True, prime_to=p
+            )
+            assert row.count == len(chars), (level, p, row.stratum)
+
+    @pytest.mark.parametrize(
+        "nc", [NODAL, TWO_NODE, TRIPLE], ids=["nodal", "two-node", "triple"]
+    )
+    def test_nc_rows_match_label_aggregation(self, nc):
+        for n in range(1, 5):
+            desc = psod_nc(nc, n)
+            expect = nc_rows_from_labels(desc)
+            v = iv({"X": 1, **{name: 1 for name, _, _ in expect}})
+            report = decompose_nc(nc, v, n)
+            rows = [(r.stratum, r.count, r.counting_function) for r in report.rows]
+            assert rows == expect, n
+            assert report.level == desc.level
+            assert report.total == 1 + sum(count for _, count, _ in expect)
+
+    @pytest.mark.parametrize(
+        "components",
+        [("A", "B", "C", "D"), ("D", "C", "B", "A"), ("B", "D", "A", "C")],
+    )
+    def test_unrecorded_stratum_named_as_by_label_walk(self, components):
+        # {B,C}, {B,D} and {C,D} lie on the triple crossing T but carry no
+        # crossing record of their own; the first one the label order meets
+        # depends on the component order.
+        nc = NcComplex(
+            components,
+            (
+                Crossing("T", (("B", 1), ("C", 1), ("D", 1))),
+                Crossing("U", (("A", 1), ("D", 1))),
+            ),
+        )
+        for n in (2, 3):
+            with pytest.raises(ValueError) as want:
+                nc_rows_from_labels(psod_nc(nc, n))
+            with pytest.raises(UnsupportedConfiguration) as got:
+                decompose_nc(nc, iv({"X": 1}), n)
+            assert str(got.value) == (
+                f"{want.value} has no crossing records to aggregate by"
+            )
+        # stage 1 has no gerbe characters, so nothing needs aggregating
+        assert decompose_nc(nc, iv({"X": 1}), 1).rows == ()
