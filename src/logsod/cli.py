@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -164,10 +164,6 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(body)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
@@ -209,10 +205,7 @@ def cmd_kummer(args) -> int:
     ext = canonical_kummer_extension(_build_monoid(data))
     payload = ext.to_json()
     lines = [
-        "basis: "
-        + "; ".join(
-            "(" + ", ".join(_frac(x) for x in v) + ")" for v in ext.target_basis
-        ),
+        "basis: " + "; ".join(_vec(v) for v in ext.target_basis),
         "root orders: " + _vec(ext.root_orders),
         "quotient invariant factors: " + _vec(ext.quotient_invariant_factors),
         f"group order: {ext.group_order()}",
@@ -255,7 +248,7 @@ def cmd_psod(args) -> int:
         + (f"; truncation: {desc.truncation}" if desc.truncation else "")
     ]
     for i, lab in enumerate(desc.labels):
-        chars = "(" + ", ".join(_frac(c.value) for c in lab.character) + ")"
+        chars = _vec(lab.character)
         stratum = "X" if not lab.stratum else "{" + ",".join(
             str(x) for x in sorted(lab.stratum, key=str)) + "}"
         extra = ""
@@ -383,10 +376,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

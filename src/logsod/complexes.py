@@ -25,6 +25,7 @@ from logsod.errors import (
 )
 from logsod.intlinalg import smith_normal_form, solve_linear
 from logsod.monoids import ToricMonoid, canonical_kummer_extension, group_lattice
+from logsod.orders import _sort_token
 
 __all__ = [
     "BlowupLog",
@@ -89,7 +90,7 @@ class SncComplex:
     def stratum_name(self, subset: Iterable) -> str:
         j = frozenset(subset)
         if j not in self.nonempty:
-            raise UnknownStratum(f"no stratum {sorted(j, key=_token)}")
+            raise UnknownStratum(f"no stratum {sorted(j, key=_sort_token)}")
         if not j:
             return "X"
         order = {c: k for k, c in enumerate(self.components)}
@@ -98,22 +99,13 @@ class SncComplex:
 
     def to_json(self) -> dict:
         return {
-            "components": [_encode(c) for c in self.components],
-            "nonempty": [sorted((_encode(c) for c in j), key=str)
-                         for j in self.strata()],
+            "components": list(self.components),
+            "nonempty": [sorted(j, key=str) for j in self.strata()],
         }
 
 
-def _token(x):
-    return (0, x) if isinstance(x, int) and not isinstance(x, bool) else (1, str(x))
-
-
 def _label_key(j: Stratum):
-    return tuple(sorted((_token(c) for c in j)))
-
-
-def _encode(label):
-    return label
+    return tuple(sorted(map(_sort_token, j)))
 
 
 def snc_from_divisors(
@@ -144,7 +136,7 @@ def snc_from_divisors(
         if hit:
             bad = sorted(hit, key=_label_key)[0]
             raise InconsistentIncidence(
-                f"stratum {sorted(bad, key=_token)} declared empty but a "
+                f"stratum {sorted(bad, key=_sort_token)} declared empty but a "
                 "larger intersection is declared nonempty"
             )
         warnings.warn(
@@ -154,7 +146,7 @@ def snc_from_divisors(
     if overlap:
         bad = sorted(overlap, key=_label_key)[0]
         raise InconsistentIncidence(
-            f"stratum {sorted(bad, key=_token)} declared both empty and nonempty"
+            f"stratum {sorted(bad, key=_sort_token)} declared both empty and nonempty"
         )
     return SncComplex(comps, frozenset(closure))
 

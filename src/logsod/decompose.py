@@ -20,6 +20,7 @@ from logsod.complexes import (
     NcComplex,
     SimplicialChart,
     SncComplex,
+    _label_key,
     canonical_root_pair,
     fixed_locus_index,
     normalized_names,
@@ -242,10 +243,7 @@ class DecompositionReport:
 
 
 def _label_sort_key(j: frozenset):
-    def token(x):
-        return (0, x) if isinstance(x, int) and not isinstance(x, bool) else (1, str(x))
-
-    return (len(j), tuple(sorted(token(c) for c in j)))
+    return (len(j), _label_key(j))
 
 
 def _proper_strata(cx: SncComplex) -> list[frozenset]:

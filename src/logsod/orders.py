@@ -122,11 +122,11 @@ class FactorialForm:
     def __post_init__(self) -> None:
         if self.n < 1 or self.p < 0:
             raise ValueError(f"invalid factorial form ({self.p}, {self.n})")
-        red = Fraction(self.p, math.factorial(self.n))
+        # -p/n! already lives at level n-1 exactly when n divides p.
         if self.p == 0:
             if self.n != 1:
                 raise ValueError("zero must be written at level 1")
-        elif red >= 1 or (self.n > 1 and math.factorial(self.n - 1) % red.denominator == 0):
+        elif self.p >= math.factorial(self.n) or (self.n > 1 and self.p % self.n == 0):
             raise ValueError(f"({self.p}, {self.n}) is not a minimal-level form")
 
     @property
@@ -161,9 +161,10 @@ def vector_first_level(chi: Sequence[Character]) -> int:
 
 def cmp_standard(x: Character, y: Character) -> Rel:
     """Numeric order on (-1, 0]: -(r-1)/r < ... < -1/r < 0."""
-    if x.value < y.value:
-        return Rel.LT
-    return Rel.EQ if x.value == y.value else Rel.GT
+    a, b = x.p * y.q, y.p * x.q
+    if a == b:
+        return Rel.EQ
+    return Rel.LT if a > b else Rel.GT
 
 
 def cmp_factorial_scalar(x: Character, y: Character) -> Rel:
@@ -443,11 +444,11 @@ def enumerate_characters(
     axes: list[list[Character]] = []
     for j in chosen:
         r = orders[j - 1]
-        col = [Character.of(Fraction(-k, r)) for k in range(r - 1, -1, -1)]
-        if star:
-            col = [c for c in col if not c.is_zero()]
-        if prime_to is not None:
-            col = [c for c in col if c.q % prime_to != 0]
+        col = []
+        for k in range(r - 1, 0 if star else -1, -1):
+            g = math.gcd(k, r)
+            if prime_to is None or r // g % prime_to:
+                col.append(Character(k // g, r // g))
         axes.append(col)
 
     out: list[CharVector] = []

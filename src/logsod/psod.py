@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from logsod.complexes import (
     NcComplex,
@@ -32,6 +33,7 @@ from logsod.orders import (
     factorial_vector_key,
     Rel,
     vector_first_level,
+    _sort_token,
 )
 
 __all__ = [
@@ -73,7 +75,7 @@ class FactorLabel:
 
     def to_json(self) -> dict:
         out = {
-            "stratum": sorted(self.stratum, key=_token),
+            "stratum": sorted(self.stratum, key=_sort_token),
             "char": [c.to_pair() for c in self.character],
             "provenance": self.provenance,
             "zero": self.zero,
@@ -83,10 +85,6 @@ class FactorLabel:
         if self.normalized is not None:
             out["normalized"] = [[lab, mult] for lab, mult in self.normalized]
         return out
-
-
-def _token(x):
-    return (0, x) if isinstance(x, int) and not isinstance(x, bool) else (1, str(x))
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ class PsodDescriptor:
                 c for c, x in zip(self.components, lab.character) if not x.is_zero()
             )
             if support != lab.stratum:
-                raise ValueError(f"stratum {sorted(lab.stratum, key=_token)} "
+                raise ValueError(f"stratum {sorted(lab.stratum, key=_sort_token)} "
                                  "does not match the character support")
             if (lab.provenance == BASE) != (not support):
                 raise ValueError("base labels are exactly the zero-character ones")
@@ -173,26 +171,43 @@ def _standard_key(chi: CharVector) -> tuple[Fraction, ...]:
     return tuple(c.value for c in chi)
 
 
-def _labels_for(
-    cx: SncComplex, level: tuple[int, ...], order: str
-) -> list[FactorLabel]:
+def _descriptor(
+    cx: SncComplex,
+    level: tuple[int, ...],
+    order: str,
+    truncation: Optional[int] = None,
+    names: Optional[Callable] = None,
+    breakdown: Optional[tuple[tuple[str, int], ...]] = None,
+) -> PsodDescriptor:
+    # One label per character of the level, each built with its final
+    # annotations: first_level on tower stages, normalized when names (a
+    # stratum -> normalized names map) is given.
     chars = enumerate_characters(level, range(1, len(level) + 1))
     if order == "standard":
-        chars = sorted(chars, key=_standard_key)
-    out = []
+        chars.sort(key=_standard_key)
+    labels = []
     for chi in chars:
         support = frozenset(
             c for c, x in zip(cx.components, chi) if not x.is_zero()
         )
-        out.append(
+        labels.append(
             FactorLabel(
                 stratum=support,
                 character=chi,
                 provenance=BASE if not support else GERBE,
                 zero=not cx.is_nonempty(support),
+                first_level=None if truncation is None else vector_first_level(chi),
+                normalized=None if names is None else names(support),
             )
         )
-    return out
+    return PsodDescriptor(
+        components=cx.components,
+        labels=tuple(labels),
+        order=order,
+        level=level,
+        truncation=truncation,
+        base_breakdown=breakdown,
+    )
 
 
 def _single_divisor_complex() -> SncComplex:
@@ -207,14 +222,7 @@ def psod_single(n: int) -> PsodDescriptor:
     """
     if n < 1:
         raise ValueError("level must be a positive integer")
-    cx = _single_divisor_complex()
-    fact = math.factorial(n)
-    return PsodDescriptor(
-        components=cx.components,
-        labels=tuple(_labels_for(cx, (fact,), "factorial")),
-        order="factorial",
-        level=(fact,),
-    )
+    return _descriptor(_single_divisor_complex(), (math.factorial(n),), "factorial")
 
 
 def psod_bls(r: int) -> PsodDescriptor:
@@ -222,13 +230,7 @@ def psod_bls(r: int) -> PsodDescriptor:
     one-step chain -(r-1)/r, ..., -1/r, 0."""
     if r < 1:
         raise ValueError("level must be a positive integer")
-    cx = _single_divisor_complex()
-    return PsodDescriptor(
-        components=cx.components,
-        labels=tuple(_labels_for(cx, (r,), "standard")),
-        order="standard",
-        level=(r,),
-    )
+    return _descriptor(_single_divisor_complex(), (r,), "standard")
 
 
 def bls_divergence(n: int) -> dict:
@@ -280,12 +282,7 @@ def psod_snc(cx: SncComplex, level: Iterable[int], order: str = "factorial") -> 
             )
     elif order != "standard":
         raise ValueError(f"unknown order tag {order!r}")
-    return PsodDescriptor(
-        components=cx.components,
-        labels=tuple(_labels_for(cx, level, order)),
-        order=order,
-        level=level,
-    )
+    return _descriptor(cx, level, order)
 
 
 def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
@@ -293,25 +290,8 @@ def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
     each label annotated by the first stage where it appears."""
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
-    fact = math.factorial(truncation)
-    base = psod_snc(cx, (fact,) * len(cx.components), "factorial")
-    labels = tuple(
-        FactorLabel(
-            stratum=lab.stratum,
-            character=lab.character,
-            provenance=lab.provenance,
-            zero=lab.zero,
-            first_level=vector_first_level(lab.character),
-        )
-        for lab in base.labels
-    )
-    return PsodDescriptor(
-        components=base.components,
-        labels=labels,
-        order="factorial",
-        level=base.level,
-        truncation=truncation,
-    )
+    level = (math.factorial(truncation),) * len(cx.components)
+    return _descriptor(cx, level, "factorial", truncation)
 
 
 FULL_CHECK_CAP = 40_000
@@ -420,31 +400,12 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     """
     simple, log = strictify_nc(nc)
     snc = snc_of_simple(simple)
-    desc = psod_infinite(snc, truncation)
-    names = {
-        s: normalized_names(nc, simple, snc, s)
-        for s in {lab.stratum for lab in desc.labels}
-    }
-    labels = tuple(
-        FactorLabel(
-            stratum=lab.stratum,
-            character=lab.character,
-            provenance=lab.provenance,
-            zero=lab.zero,
-            first_level=lab.first_level,
-            normalized=names[lab.stratum],
-        )
-        for lab in desc.labels
-    )
+    if truncation < 1:
+        raise ValueError("truncation must be a positive integer")
+    level = (math.factorial(truncation),) * len(snc.components)
+    names = cache(partial(normalized_names, nc, simple, snc))
     breakdown = tuple((step.stratum, step.codim - 1) for step in log.steps)
-    return PsodDescriptor(
-        components=desc.components,
-        labels=labels,
-        order="factorial",
-        level=desc.level,
-        truncation=truncation,
-        base_breakdown=breakdown,
-    )
+    return _descriptor(snc, level, "factorial", truncation, names, breakdown)
 
 
 def psod_simplicial(chart: SimplicialChart, truncation: int) -> PsodDescriptor:

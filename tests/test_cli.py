@@ -206,6 +206,20 @@ class TestPsodCommand:
         assert code == EXIT_PARSE
         assert "level" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_implied_strata_warning_line(self, tmp_path, capsys, fmt):
+        implied = {"kind": "snc", "components": [1, 2], "nonempty": [[1, 2]]}
+        closed = dict(implied, nonempty=[[1], [2], [1, 2]])
+        argv = ["--level", "2", "--format", fmt]
+        code, out, err = run_cli(
+            capsys, ["psod", write_scene(tmp_path, implied), *argv]
+        )
+        assert code == EXIT_OK
+        assert err == "warning: added 2 implied nonempty strata\n"
+        assert run_cli(
+            capsys, ["psod", write_scene(tmp_path, closed, "closed.json"), *argv]
+        ) == (EXIT_OK, out, "")
+
     def test_nc_scene_descriptor(self, tmp_path, capsys):
         data = run_json(capsys, ["psod", write_scene(tmp_path, NODAL_SCENE),
                                  "--level", "2"])

@@ -117,6 +117,22 @@ class TestNormalFactorialForm:
         with pytest.raises(ValueError):
             FactorialForm(0, 2)
 
+    def test_form_validation_matches_fraction_check(self):
+        # Reference: -p/n! must lie in (-1, 0] and its reduced denominator
+        # must not divide (n-1)!.
+        for n in range(1, 6):
+            fact = math.factorial(n)
+            for p in range(fact + 2):
+                red = F(p, fact)
+                bad = (n != 1) if p == 0 else red >= 1 or (
+                    n > 1 and math.factorial(n - 1) % red.denominator == 0
+                )
+                if bad:
+                    with pytest.raises(ValueError):
+                        FactorialForm(p, n)
+                else:
+                    assert FactorialForm(p, n).value == -red
+
 
 class TestStandardOrder:
     def test_frozen(self):
@@ -129,6 +145,15 @@ class TestStandardOrder:
         by_value = sorted(xs, key=lambda c: c.value)
         for a, b in zip(by_value, by_value[1:]):
             assert cmp_standard(a, b) is Rel.LT
+
+    def test_all_pairs_match_value_comparison(self):
+        xs = full_level(4) + [C(F(-k, 5)) for k in range(5)]
+        for a in xs:
+            for b in xs:
+                want = Rel.LT if a.value < b.value else (
+                    Rel.EQ if a.value == b.value else Rel.GT
+                )
+                assert cmp_standard(a, b) is want
 
 
 class TestFactorialScalar:
@@ -432,6 +457,22 @@ class TestEnumerate:
                 filtered = enumerate_characters([r], {1}, star=True, prime_to=p)
                 plain = enumerate_characters([r], {1}, star=True)
                 assert len(filtered) <= len(plain)
+
+    @given(
+        r=st.integers(1, 720),
+        star=st.booleans(),
+        prime_to=st.sampled_from([None, 2, 3, 5, 7]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_integer_axis_matches_fraction_route(self, r, star, prime_to):
+        # The Fraction/mod_one route is the reference for the gcd-reduced axis.
+        axis = [Character.of(F(-k, r)) for k in range(r - 1, -1, -1)]
+        want = [
+            (c,) for c in axis
+            if not (star and c.is_zero()) and (prime_to is None or c.q % prime_to)
+        ]
+        want.sort(key=factorial_vector_key)
+        assert enumerate_characters([r], {1}, star=star, prime_to=prime_to) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

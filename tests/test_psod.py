@@ -170,6 +170,18 @@ class TestPsodSnc:
             psod_snc(cx, (5, 5), order="factorial")
         psod_snc(cx, (2, 6), order="standard")
         psod_snc(cx, (2, 2), order="factorial")
+        with pytest.raises(NonDiagonalLevel):
+            psod_snc(three_lines(), (2, 6, 6), order="factorial")
+
+    def test_validation_order(self):
+        # The length is checked before the level and before the order tag.
+        cx = two_divisors()
+        with pytest.raises(ValueError, match="one cyclic order per component"):
+            psod_snc(cx, (2, 6, 6), order="factorial")
+        with pytest.raises(ValueError, match="one cyclic order per component"):
+            psod_snc(cx, (2,), order="weird")
+        with pytest.raises(ValueError, match="order tag"):
+            psod_snc(cx, (2, 6), order="weird")
 
     def test_matches_single_on_one_component(self):
         a = psod_snc(single_divisor(), (6,), order="factorial")
@@ -248,6 +260,10 @@ class TestDescriptorValidation:
 
 
 class TestPsodInfinite:
+    def test_truncation_must_be_positive(self):
+        with pytest.raises(ValueError, match="truncation"):
+            psod_infinite(single_divisor(), 0)
+
     def test_single_divisor_stage_two(self):
         desc = psod_infinite(single_divisor(), 2)
         assert scalar_values(desc) == [Fraction(-1, 2), Fraction(0)]
@@ -398,6 +414,9 @@ class TestPsodNc:
         deep = NcComplex(("C",), (Crossing("N", (("C", 1), ("C", 2))),), ambient_dim=3)
         with pytest.raises(UnsupportedConfiguration):
             psod_nc(deep, 2)
+        # Strictification runs before the truncation is checked.
+        with pytest.raises(UnsupportedConfiguration):
+            psod_nc(deep, 0)
 
 
 class TestPsodSimplicial:
