@@ -15,36 +15,16 @@ import sys
 import warnings
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import jsonschema
-
-from logsod.complexes import (
-    SimplicialChart,
-    SncComplex,
-    canonical_root_pair,
-    nc_from_json,
-    snc_from_divisors,
-    strictify,
-)
-from logsod.decompose import (
-    InvariantAssignment,
-    decompose_finite,
-    decompose_nc,
-    decompose_simplicial_complexified,
-    etale_filter,
-)
 from logsod.errors import LogsodError, ParseError
-from logsod.monoids import (
-    ToricMonoid,
-    canonical_kummer_extension,
-    extremal_rays,
-    face_strata,
-    indecomposables,
-    is_saturated,
-    is_simplicial,
-)
-from logsod.psod import psod_infinite, psod_nc, psod_simplicial, psod_snc
-from logsod.selfcheck import run_selfcheck
+
+# Library modules are imported by the commands that use them, and jsonschema
+# only to word a rejection, so each process loads only what its command runs.
+if TYPE_CHECKING:
+    from logsod.complexes import SimplicialChart, SncComplex
+    from logsod.decompose import InvariantAssignment
+    from logsod.monoids import ToricMonoid
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,6 +54,8 @@ def _scene_schema() -> dict:
 def _scene_validator():
     # The shipped schema is package data, checked against its metaschema by
     # the tests rather than on every call as jsonschema.validate does.
+    import jsonschema
+
     schema = _scene_schema()
     return jsonschema.validators.validator_for(schema)(schema)
 
@@ -91,7 +73,15 @@ def load_scene(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_scene_validator().iter_errors(data))
+    from logsod.schemacheck import conforms
+
+    if conforms(data, _scene_schema()):
+        return data
+    # conforms may reject what the schema allows (see logsod.schemacheck), so
+    # jsonschema has the last word and words the error.
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_scene_validator().iter_errors(data))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "top level"
         raise ParseError(f"scene fails schema validation at {where}: {error.message}") from error
@@ -99,20 +89,28 @@ def load_scene(path: str) -> dict:
 
 
 def _build_monoid(data: dict) -> ToricMonoid:
+    from logsod.monoids import ToricMonoid
+
     return ToricMonoid(data["rank"], tuple(tuple(g) for g in data["generators"]))
 
 
 def _build_snc(data: dict) -> SncComplex:
+    from logsod.complexes import snc_from_divisors
+
     return snc_from_divisors(
         data["components"], data["nonempty"], data.get("empty", ())
     )
 
 
 def _build_chart(data: dict) -> SimplicialChart:
+    from logsod.complexes import SimplicialChart
+
     return SimplicialChart(tuple(_build_monoid(c) for c in data["charts"]))
 
 
 def _scene_assignment(data: dict) -> InvariantAssignment:
+    from logsod.decompose import InvariantAssignment
+
     if "assignment" not in data:
         raise ParseError("scene carries no invariant assignment")
     return InvariantAssignment.from_json(data["assignment"])
@@ -169,6 +167,14 @@ def _vec(v) -> str:
 
 
 def cmd_monoid(args) -> int:
+    from logsod.monoids import (
+        extremal_rays,
+        face_strata,
+        indecomposables,
+        is_saturated,
+        is_simplicial,
+    )
+
     data = load_scene(args.scene)
     if data["kind"] != "monoid":
         raise ParseError("monoid command needs a monoid scene")
@@ -199,6 +205,8 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_kummer(args) -> int:
+    from logsod.monoids import canonical_kummer_extension
+
     data = load_scene(args.scene)
     if data["kind"] != "monoid":
         raise ParseError("kummer command needs a monoid scene")
@@ -215,6 +223,9 @@ def cmd_kummer(args) -> int:
 
 
 def _psod_descriptor(data: dict, level, order: str):
+    from logsod.complexes import nc_from_json
+    from logsod.psod import psod_infinite, psod_nc, psod_simplicial, psod_snc
+
     kind = data["kind"]
     if kind == "snc":
         cx = _build_snc(data)
@@ -262,6 +273,14 @@ def cmd_psod(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from logsod.complexes import canonical_root_pair, nc_from_json
+    from logsod.decompose import (
+        decompose_finite,
+        decompose_nc,
+        decompose_simplicial_complexified,
+        etale_filter,
+    )
+
     data = load_scene(args.scene)
     v = _scene_assignment(data)
     level = _parse_level(_option(args, data, "level"))
@@ -300,6 +319,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_strictify(args) -> int:
+    from logsod.complexes import nc_from_json, strictify
+
     data = load_scene(args.scene)
     if data["kind"] != "nc":
         raise ParseError("strictify command needs an nc scene")
@@ -320,6 +341,8 @@ def cmd_strictify(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from logsod.selfcheck import run_selfcheck
+
     report = run_selfcheck(args.exhaustive_level)
     _emit(args, report.to_json(), report.to_text())
     return EXIT_OK if report.passed else EXIT_SELFCHECK

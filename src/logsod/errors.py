@@ -51,3 +51,11 @@ class NonDiagonalLevel(LogsodError):
 
 class UnsupportedAction(LogsodError):
     """Group action data is not of the supported diagonal abelian form."""
+
+
+class TooManyLabels(LogsodError):
+    """A descriptor or check would materialize more labels than the cap."""
+
+
+class BoxTooLarge(LogsodError, ValueError):
+    """A saturation search would scan more generator-box points than the cap."""

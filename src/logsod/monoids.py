@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from logsod.errors import NotSharp, NotSimplicial, ParseError, ZeroMonoid
+from logsod.errors import BoxTooLarge, NotSharp, NotSimplicial, ParseError, ZeroMonoid
 from logsod.intlinalg import (
     hermite_row_basis,
     in_row_span,
@@ -209,7 +209,7 @@ def _cone_points_minimal(m: ToricMonoid, lattice: Optional[list[LatticeVector]])
     lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2_000_000:
-        raise ValueError("generator box too large for desk-scale saturation")
+        raise BoxTooLarge("generator box too large for desk-scale saturation")
     gens = sorted(set(m.generators))
 
     def member(v: tuple[int, ...]) -> bool:

@@ -25,7 +25,7 @@ from logsod.complexes import (
     strictify_nc,
     snc_of_simple,
 )
-from logsod.errors import NonDiagonalLevel
+from logsod.errors import NonDiagonalLevel, TooManyLabels
 from logsod.orders import (
     CharVector,
     cmp_factorial_vector,
@@ -182,6 +182,13 @@ def _descriptor(
     # One label per character of the level, each built with its final
     # annotations: first_level on tower stages, normalized when names (a
     # stratum -> normalized names map) is given.
+    count = math.prod(level)
+    if count > LABEL_CAP:
+        raise TooManyLabels(
+            f"level {list(level)} has {count} labels, more than the {LABEL_CAP} "
+            "a descriptor may build; 'logsod decompose' counts them without "
+            "building them"
+        )
     chars = enumerate_characters(level, range(1, len(level) + 1))
     if order == "standard":
         chars.sort(key=_standard_key)
@@ -294,6 +301,9 @@ def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
     return _descriptor(cx, level, "factorial", truncation)
 
 
+# Most labels a descriptor builds (peak memory runs at about 3 KB a label);
+# embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP of them.
+LABEL_CAP = 600_000
 FULL_CHECK_CAP = 40_000
 SUBLEVEL_CHECK_CAP = 600_000
 SAMPLE_STRIDE = 7919
@@ -312,6 +322,8 @@ def embedding_check(
     middling ones materialize only the sublevel; beyond that the scalar
     chains are still checked exhaustively and vector pairs are sampled with
     a fixed stride.  The report names its mode and any counterexamples.
+    Raises TooManyLabels when the scalar sublevel chain alone exceeds
+    SUBLEVEL_CHECK_CAP (n >= 11).
     """
     if n < 2:
         raise ValueError("embedding needs n >= 2")
@@ -361,6 +373,12 @@ def embedding_check(
                 fail("comparator-mismatch", seq[i], seq[i + 1])
         return report
 
+    if k == 1:
+        # The sampled mode rests on the scalar check, which is this call.
+        raise TooManyLabels(
+            f"embedding check at stage {n} needs the {small_count} labels of "
+            f"stage {n - 1}, more than {SUBLEVEL_CHECK_CAP}"
+        )
     report["mode"] = "sampled"
     scalar = embedding_check(_single_divisor_complex(), n)
     if not scalar["passed"]:

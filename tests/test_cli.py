@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -151,11 +152,21 @@ class TestResourceLimits:
         def exhausted(level):
             raise MemoryError
 
-        monkeypatch.setattr("logsod.cli.run_selfcheck", exhausted)
+        monkeypatch.setattr("logsod.selfcheck.run_selfcheck", exhausted)
         code, out, err = run_cli(capsys, ["selfcheck"])
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err.startswith("error: ") and "MemoryError" in err
+
+    def test_label_cap_is_domain_error(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, LINE_SCENE)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["psod", scene, "--level", "12"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ") and "479001600" in err
+        assert "logsod decompose" in err
 
 
 class TestPsodCommand:
@@ -401,6 +412,55 @@ class TestInputHandling:
         assert json.loads(proc.stdout)["quotient_invariant_factors"] == [2]
 
 
+# Runs one command in a fresh interpreter, output to a file, and prints the
+# exit code and the jsonschema and logsod modules the process loaded.
+_CHILD = """
+import json, sys
+from logsod.cli import main
+code = main(sys.argv[1:])
+mods = [m for m in sys.modules if m == "jsonschema" or m.startswith("logsod.")]
+print(json.dumps([code, sorted(mods)]))
+"""
+_CORE = {"logsod.cli", "logsod.errors", "logsod.monoids", "logsod.orders", "logsod.intlinalg"}
+_MONOID = _CORE | {"logsod.schemacheck"}
+_COMPLEX = _MONOID | {"logsod.complexes"}
+_SELFCHECK = _CORE | {"logsod.complexes", "logsod.psod", "logsod.decompose", "logsod.selfcheck"}
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize("argv, scene, expect", [
+        (["monoid"], A1_SCENE, _MONOID),
+        (["kummer"], A1_SCENE, _MONOID),
+        (["psod", "--level", "2"], P2_SCENE, _COMPLEX | {"logsod.psod"}),
+        (["decompose", "--level", "2"], P2_SCENE, _COMPLEX | {"logsod.decompose"}),
+        (["decompose", "--level", "2"], NODAL_SCENE, _COMPLEX | {"logsod.decompose"}),
+        (["decompose", "--level", "2"], CHART_SCENE, _COMPLEX | {"logsod.decompose"}),
+        (["strictify"], NODAL_SCENE, _COMPLEX),
+        (["selfcheck", "--exhaustive-level", "1"], None, _SELFCHECK),
+    ])
+    def test_valid_scene_loads_only_its_command(self, tmp_path, argv, scene, expect):
+        args = argv[:1] + ([write_scene(tmp_path, scene)] if scene else []) + argv[1:]
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, *args, "--output", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == EXIT_OK
+        assert set(modules) == expect
+
+    def test_rejected_scene_is_worded_by_jsonschema(self, tmp_path):
+        scene = write_scene(tmp_path, {"kind": "fan"})
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, "monoid", scene],
+            capture_output=True, text=True,
+        )
+        code, modules = json.loads(proc.stdout)
+        assert code == EXIT_PARSE
+        assert "jsonschema" in modules
+        assert proc.stderr.startswith("error: scene fails schema validation at top level")
+
+
 class TestSelfcheckCommand:
     def test_passing_suite_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, ["selfcheck", "--exhaustive-level", "2"])
@@ -413,7 +473,7 @@ class TestSelfcheckCommand:
         rigged = SelfcheckReport(
             2, (CheckResult("rigged", False, "planted", ((1,),)),)
         )
-        monkeypatch.setattr("logsod.cli.run_selfcheck", lambda level: rigged)
+        monkeypatch.setattr("logsod.selfcheck.run_selfcheck", lambda level: rigged)
         code, out, _ = run_cli(capsys, ["selfcheck", "--exhaustive-level", "2",
                                         "--format", "text"])
         assert code == EXIT_SELFCHECK

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from conftest import MONOID_LIBRARY, SQUARE_CONE, UNSATURATED
-from logsod.errors import NotSharp, NotSimplicial, ParseError, ZeroMonoid
+from logsod.errors import BoxTooLarge, LogsodError, NotSharp, NotSimplicial, ParseError, ZeroMonoid
 from logsod.monoids import (
     KummerExtension,
     ToricMonoid,
@@ -78,8 +78,9 @@ class TestGroupLattice:
             combos = bounded_combinations(gens, 2)
             for v in combos:
                 assert in_row_span(basis, list(v))
+            reach = bounded_combinations(gens, 4)
             for row in basis:
-                assert row in bounded_combinations(gens, 4)
+                assert row in reach
 
     def test_empty_rejected(self):
         with pytest.raises(ZeroMonoid):
@@ -209,6 +210,14 @@ class TestSaturate:
         m = saturate(UNSATURATED)
         assert is_saturated(m)
         assert saturate(m) == m
+
+    @pytest.mark.parametrize("check", [saturate, is_saturated])
+    def test_box_guard_is_documented_error(self, check):
+        # 3,000,002 box points, over the 2,000,000 cap: refused before any LP.
+        with pytest.raises(BoxTooLarge, match="generator box too large") as info:
+            check(ToricMonoid(1, ((1,), (3_000_000,))))
+        assert isinstance(info.value, LogsodError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestKummerExtension:

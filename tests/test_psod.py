@@ -14,10 +14,12 @@ from itertools import product
 import pytest
 
 from logsod.complexes import Crossing, NcComplex, SimplicialChart, snc_from_divisors, snc_of_simple
-from logsod.errors import NonDiagonalLevel, UnsupportedConfiguration
+from logsod.errors import NonDiagonalLevel, TooManyLabels, UnsupportedConfiguration
 from logsod.monoids import ToricMonoid
 from logsod.orders import support_partition
 from logsod.psod import (
+    LABEL_CAP,
+    SUBLEVEL_CHECK_CAP,
     FactorLabel,
     PsodDescriptor,
     bls_divergence,
@@ -259,6 +261,25 @@ class TestDescriptorValidation:
             PsodDescriptor(desc.components, desc.labels, "weird", (2,))
 
 
+class TestLabelCap:
+    def test_cap_admits_sublevel_checks_and_one_divisor_stage_nine(self):
+        assert SUBLEVEL_CHECK_CAP <= LABEL_CAP
+        assert math.factorial(9) <= LABEL_CAP < math.factorial(10)
+
+    @pytest.mark.parametrize("build, count", [
+        (lambda: psod_infinite(single_divisor(), 10), 3628800),
+        (lambda: psod_single(10), 3628800),
+        (lambda: psod_bls(600_001), 600001),
+        (lambda: psod_snc(two_divisors(), (1000, 601), order="standard"), 601000),
+        (lambda: psod_nc(NODAL, 7), 5040 ** 2),
+        (lambda: psod_simplicial(SimplicialChart((FREE2,)), 7), 5040 ** 2),
+    ])
+    def test_refused_before_building(self, build, count):
+        with pytest.raises(TooManyLabels, match=f"has {count} labels") as info:
+            build()
+        assert "logsod decompose" in str(info.value)
+
+
 class TestPsodInfinite:
     def test_truncation_must_be_positive(self):
         with pytest.raises(ValueError, match="truncation"):
@@ -331,6 +352,12 @@ class TestEmbeddingCheck:
     def test_three_components_sampled(self):
         report = embedding_check(three_lines(), 6)
         assert report["mode"] == "sampled" and report["passed"]
+
+    @pytest.mark.parametrize("cx", [single_divisor, three_lines])
+    def test_stage_eleven_refused_with_count(self, cx):
+        # Stage 11 needs the 10! = 3628800 scalar labels of stage 10.
+        with pytest.raises(TooManyLabels, match="3628800"):
+            embedding_check(cx(), 11)
 
     def test_corrupted_order_fails(self):
         cx = single_divisor()
