@@ -85,6 +85,18 @@ def load_scene(path: str) -> dict:
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "top level"
         raise ParseError(f"scene fails schema validation at {where}: {error.message}") from error
+    return _integral_floats_as_ints(data)
+
+
+def _integral_floats_as_ints(data):
+    """The scene with every float replaced by the int it equals: each number
+    in the schema is an integer, which Draft 2020-12 lets 1.0 stand for."""
+    if isinstance(data, float):
+        return int(data)
+    if isinstance(data, list):
+        return [_integral_floats_as_ints(x) for x in data]
+    if isinstance(data, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in data.items()}
     return data
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from logsod.errors import BoxTooLarge, NotSharp, NotSimplicial, ParseError, ZeroMonoid
 from logsod.intlinalg import (
@@ -199,24 +199,82 @@ def indecomposables(m: ToricMonoid) -> list[LatticeVector]:
     return out
 
 
-def _cone_points_minimal(m: ToricMonoid, lattice: Optional[list[LatticeVector]]) -> list[LatticeVector]:
-    """Minimal generators of the cone's lattice points within the generator
-    box; lattice=None means the ambient lattice.
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so entries stay minors."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
-    Membership in the cone-and-lattice monoid reduces to two direct tests,
-    so no monoid-sum search is needed to cut the box points down.
+
+def _cone_membership(m: ToricMonoid, own_lattice: bool) -> Callable[[Sequence[int]], bool]:
+    """Predicate for the lattice points of the cone over the generators: the
+    monoid's group lattice when own_lattice, else the ambient lattice.
+
+    Points of the generators' span are compared in the pivot columns of its
+    Hermite basis, a projection that is injective on the span and makes the
+    cone full-dimensional.  Each facet there is spanned by r - 1 generator
+    directions (r the rank), so the integer normals of those subsets that
+    leave every generator on one side cut out the cone.  A point is in the
+    span when D times it is in the group lattice, D the product of the
+    Hermite pivots.
+    """
+    basis = group_lattice(m)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    scale = 1 if own_lattice else math.prod(row[p] for row, p in zip(basis, pivots))
+    r = len(pivots)
+    dirs = sorted({tuple(g[p] for p in pivots) for g in map(_primitive, m.generators)})
+    normals = set()
+    for sub in combinations(dirs, r - 1):
+        normal = [
+            (-1) ** k * _bareiss_det([[v[j] for j in range(r) if j != k] for v in sub])
+            for k in range(r)
+        ]
+        if not any(normal):
+            continue
+        sides = [sum(a * b for a, b in zip(normal, d)) for d in dirs]
+        if all(s >= 0 for s in sides):
+            normals.add(_primitive(normal))
+        elif all(s <= 0 for s in sides):
+            normals.add(tuple(-x for x in _primitive(normal)))
+
+    def member(v: Sequence[int]) -> bool:
+        x = [v[p] for p in pivots]
+        if any(sum(a * b for a, b in zip(n, x)) < 0 for n in normals):
+            return False
+        return in_row_span(basis, [scale * c for c in v])
+
+    return member
+
+
+def _cone_points_minimal(m: ToricMonoid, own_lattice: bool) -> list[LatticeVector]:
+    """Minimal generators of the cone's lattice points within the generator
+    box: the group lattice when own_lattice, else the ambient lattice.
+
+    These are the box points that are not another box point plus a nonzero
+    cone point.  For a sharp cone they are the Hilbert basis of the
+    saturated monoid (Bruns and Gubeladze, Polytopes, Rings, and K-Theory,
+    2009): every Hilbert basis element lies in the zonotope of the
+    generators, which sits inside the box, and every reducible point is
+    reduced by one of them.
     """
     lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2_000_000:
         raise BoxTooLarge("generator box too large for desk-scale saturation")
-    gens = sorted(set(m.generators))
-
-    def member(v: tuple[int, ...]) -> bool:
-        if lattice is not None and not in_row_span(lattice, list(v)):
-            return False
-        return nonneg_combination(gens, v) is not None
-
+    member = _cone_membership(m, own_lattice)
     points = [
         p
         for p in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
@@ -242,16 +300,27 @@ def saturate(m: ToricMonoid) -> ToricMonoid:
     """
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
-    return ToricMonoid(m.ambient_rank, tuple(_cone_points_minimal(m, None)))
+    return ToricMonoid(m.ambient_rank, tuple(_cone_points_minimal(m, False)))
 
 
 def is_saturated(m: ToricMonoid) -> bool:
     """True when the monoid contains every point of its cone that lies in
-    its own group lattice (saturation is intrinsic, not ambient)."""
+    its own group lattice (saturation is intrinsic, not ambient).
+
+    The saturation is generated by the box-minimal cone points, so the
+    monoid is saturated exactly when each of them is in it.  In a sharp
+    monoid that means each is a generator: a box-minimal point that is a sum
+    of two or more generators would be reduced by one of them, and the
+    generators are box points.
+    """
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
-    lattice = group_lattice(m)
-    return all(contains(m, g) for g in _cone_points_minimal(m, lattice))
+    minimal = _cone_points_minimal(m, True)
+    # The inclusion test needs sharpness; a cone with a line leaves no
+    # box-minimal points, as each is reduced along the line.
+    if minimal and not is_sharp(m):
+        raise NotSharp("membership search requires a sharp monoid")
+    return set(minimal) <= set(m.generators)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,17 @@
 
 Everything here is deliberately written from first principles, without
 importing the production kernel, so that each check compares two unrelated
-routes to the same answer.
+routes to the same answer.  The saturation oracle is the one exception: it
+decides cone membership with one exact LP per box point, through the
+production `nonneg_combination` and `contains`, which the facet-normal route
+under test does not use.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def mod1(f: Fraction) -> Fraction:
@@ -289,3 +292,63 @@ def nc_rows_from_labels(desc) -> list[tuple]:
         for name, k in lab.normalized:
             counts[name] = counts.get(name, 0) + k
     return rows + [(name, counts[name], None) for name in sorted(counts)]
+
+
+def cone_points_minimal_by_lp(m, lattice) -> list[tuple[int, ...]]:
+    """Minimal generators of the cone's lattice points within the generator
+    box, with one exact LP per point tested; lattice=None means the ambient
+    lattice, else a Hermite basis of the lattice."""
+    from logsod.errors import BoxTooLarge
+    from logsod.intlinalg import in_row_span, nonneg_combination
+
+    lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
+    hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
+    if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2_000_000:
+        raise BoxTooLarge("generator box too large for desk-scale saturation")
+    gens = sorted(set(m.generators))
+    seen: dict[tuple[int, ...], bool] = {}
+
+    def member(v: tuple[int, ...]) -> bool:
+        if v not in seen:
+            seen[v] = (lattice is None or in_row_span(lattice, list(v))) and (
+                nonneg_combination(gens, v) is not None
+            )
+        return seen[v]
+
+    points = [
+        p
+        for p in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        if any(p) and member(p)
+    ]
+    minimal = []
+    for g in points:
+        decomposable = False
+        for h in points:
+            rest = tuple(a - b for a, b in zip(g, h))
+            if any(rest) and member(rest):
+                decomposable = True
+                break
+        if not decomposable:
+            minimal.append(g)
+    return sorted(minimal)
+
+
+def saturate_by_lp(m) -> tuple[tuple[int, ...], ...]:
+    """Generators of the ambient saturation, by the LP route."""
+    from logsod.errors import ZeroMonoid
+
+    if not m.generators:
+        raise ZeroMonoid("monoid has no generators")
+    return tuple(cone_points_minimal_by_lp(m, None))
+
+
+def is_saturated_by_lp(m) -> bool:
+    """Saturation in the monoid's own group lattice: every box-minimal cone
+    point is found in the monoid by the membership search."""
+    from logsod.errors import ZeroMonoid
+    from logsod.monoids import contains, group_lattice
+
+    if not m.generators:
+        raise ZeroMonoid("monoid has no generators")
+    lattice = group_lattice(m)
+    return all(contains(m, g) for g in cone_points_minimal_by_lp(m, lattice))

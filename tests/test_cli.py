@@ -394,6 +394,15 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, ["monoid", write_scene(tmp_path, scene)])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_integral_float_reads_as_integer(self, tmp_path, capsys, fmt):
+        # Draft 2020-12 lets 1.0 stand for the integer 1.
+        as_float = write_scene(tmp_path, {"kind": "monoid", "rank": 1.0, "generators": [[1]]}, "f.json")
+        as_int = write_scene(tmp_path, {"kind": "monoid", "rank": 1, "generators": [[1]]}, "i.json")
+        got = run_cli(capsys, ["monoid", as_float, "--format", fmt])
+        assert got == run_cli(capsys, ["monoid", as_int, "--format", fmt])
+        assert got[0] == EXIT_OK and got[2] == ""
+
     def test_json_output_deterministic(self, tmp_path, capsys):
         scene = write_scene(tmp_path, P2_SCENE)
         argv = ["decompose", scene, "--level", "2"]

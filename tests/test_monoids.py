@@ -6,9 +6,12 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from conftest import MONOID_LIBRARY, SQUARE_CONE, UNSATURATED
+from logsod import monoids
 from logsod.errors import BoxTooLarge, LogsodError, NotSharp, NotSimplicial, ParseError, ZeroMonoid
+from logsod.intlinalg import in_row_span, nonneg_combination
 from logsod.monoids import (
     KummerExtension,
     ToricMonoid,
@@ -23,16 +26,25 @@ from logsod.monoids import (
     is_simplicial,
     saturate,
 )
-from oracles import extremal_dirs_by_facets, kummer_is_minimal, primitive, solve_exact
+from oracles import (
+    extremal_dirs_by_facets,
+    is_saturated_by_lp,
+    kummer_is_minimal,
+    primitive,
+    saturate_by_lp,
+    solve_exact,
+)
 
 A1 = ToricMonoid(2, ((2, 0), (1, 1), (0, 2)))
 
 
-def bounded_combinations(gens, bound):
-    """All integer combinations with coefficients in [-bound, bound]."""
+def bounded_combinations(gens, bound, rank=None):
+    """All integer combinations with coefficients in [-bound, bound]; rank
+    gives the length of the zero vector when gens is empty."""
+    rank = len(gens[0]) if rank is None else rank
     out = set()
     for coeffs in product(range(-bound, bound + 1), repeat=len(gens)):
-        v = tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(len(gens[0])))
+        v = tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(rank))
         out.add(v)
     return out
 
@@ -70,17 +82,20 @@ class TestGroupLattice:
         assert group_lattice(ToricMonoid(1, ((3,),))) == [(3,)]
 
     def test_box_oracle(self):
-        from logsod.intlinalg import in_row_span
-
         for case in MONOID_LIBRARY[:8]:
             gens = case.monoid.generators
             basis = group_lattice(case.monoid)
             combos = bounded_combinations(gens, 2)
             for v in combos:
                 assert in_row_span(basis, list(v))
-            reach = bounded_combinations(gens, 4)
+            # row is a [-4, 4] combination of all generators exactly when
+            # some such sum a over the first half leaves row - a a sum over
+            # the second half (meet in the middle).
+            half = len(gens) // 2
+            first = bounded_combinations(gens[:half], 4, case.monoid.ambient_rank)
+            second = bounded_combinations(gens[half:], 4, case.monoid.ambient_rank)
             for row in basis:
-                assert row in reach
+                assert any(tuple(r - x for r, x in zip(row, a)) in second for a in first)
 
     def test_empty_rejected(self):
         with pytest.raises(ZeroMonoid):
@@ -218,6 +233,76 @@ class TestSaturate:
             check(ToricMonoid(1, ((1,), (3_000_000,))))
         assert isinstance(info.value, LogsodError)
         assert isinstance(info.value, ValueError)
+
+
+@st.composite
+def small_monoids(draw):
+    """Ambient rank 1-3, 1-4 nonzero generators with entries in [-2, 3];
+    a flat draw copies the first coordinate into the last, so the cone
+    spans a proper subspace that no coordinate plane contains."""
+    rank = draw(st.integers(1, 3))
+    flat = rank > 1 and draw(st.integers(0, 3)) == 0
+    vec = st.lists(st.integers(-2, 3), min_size=rank, max_size=rank)
+    if flat:
+        vec = vec.map(lambda v: v[:-1] + v[:1])
+    count = draw(st.integers(1, 4))
+    gens = draw(st.lists(vec.filter(any), min_size=count, max_size=count))
+    return ToricMonoid(rank, tuple(tuple(g) for g in gens))
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except LogsodError as exc:
+        return type(exc), str(exc)
+
+
+class TestSaturationAgainstLp:
+    """The facet-normal route against one exact LP per box point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_monoids())
+    def test_verdicts_match(self, m):
+        assert _outcome(is_saturated, m) == _outcome(is_saturated_by_lp, m)
+        assert _outcome(lambda x: saturate(x).generators, m) == _outcome(saturate_by_lp, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_monoids())
+    def test_membership_matches_lp_on_every_tested_point(self, m):
+        lattice = group_lattice(m)
+        gens = sorted(set(m.generators))
+        in_cone: dict[tuple, bool] = {}
+        tested = []
+        real = monoids._cone_membership
+
+        def checking(m, own_lattice):
+            member = real(m, own_lattice)
+
+            def check(v):
+                v = tuple(v)
+                if v not in in_cone:
+                    in_cone[v] = nonneg_combination(gens, v) is not None
+                want = in_cone[v] and (not own_lattice or in_row_span(lattice, v))
+                assert member(v) == want, (v, own_lattice)
+                tested.append(v)
+                return want
+
+            return check
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monoids, "_cone_membership", checking)
+            _outcome(is_saturated, m)
+            saturate(m)
+        assert tested
+
+
+class TestBareissDeterminant:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_matches_sympy(self, rows):
+        assert monoids._bareiss_det(rows) == (sympy.Matrix(rows).det() if rows else 1)
 
 
 class TestKummerExtension:
