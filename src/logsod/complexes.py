@@ -11,9 +11,9 @@ group action whose fixed loci feed the truncated index counts.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -23,9 +23,9 @@ from logsod.errors import (
     UnknownStratum,
     UnsupportedConfiguration,
 )
-from logsod.intlinalg import smith_normal_form, solve_linear
-from logsod.monoids import ToricMonoid, canonical_kummer_extension, group_lattice
-from logsod.orders import _sort_token
+from logsod.intlinalg import smith_normal_form
+from logsod.monoids import ToricMonoid, _lattice_in_basis, canonical_kummer_extension
+from logsod.orders import _sort_token, _subsets
 
 __all__ = [
     "BlowupLog",
@@ -94,8 +94,7 @@ class SncComplex:
         if not j:
             return "X"
         order = {c: k for k, c in enumerate(self.components)}
-        names = sorted((str(c) for c in j), key=lambda s: order.get(s, s))
-        return "D_{" + ",".join(names) + "}"
+        return "D_{" + ",".join(str(c) for c in sorted(j, key=order.__getitem__)) + "}"
 
     def to_json(self) -> dict:
         return {
@@ -124,12 +123,7 @@ def snc_from_divisors(
     declared = {frozenset(j) for j in nonempty}
     declared.add(frozenset())
     declared_empty = {frozenset(j) for j in empty}
-    closure = set()
-    for j in declared:
-        for mask in range(1 << len(j)):
-            items = tuple(j)
-            sub = frozenset(c for k, c in enumerate(items) if mask >> k & 1)
-            closure.add(sub)
+    closure = {sub for j in declared for sub in _subsets(j)}
     missing = closure - declared
     if missing:
         hit = missing & declared_empty
@@ -350,10 +344,7 @@ def snc_of_simple(nc: NcComplex) -> SncComplex:
         nonempty.add(frozenset({c}))
     for s in nc.crossings:
         support = frozenset(s.component_labels)
-        for mask in range(1 << len(support)):
-            items = tuple(support)
-            sub = frozenset(x for k, x in enumerate(items) if mask >> k & 1)
-            nonempty.add(sub)
+        nonempty.update(_subsets(support))
         bucket = meta.setdefault(support, {"crossings": []})
         bucket["crossings"].append(s.name)
     for j, bucket in meta.items():
@@ -441,10 +432,7 @@ class FixedLocusData:
                 raise ValueError("one weight per component required")
 
     def group_order(self) -> int:
-        order = 1
-        for d in self.invariant_factors:
-            order *= d
-        return order
+        return math.prod(self.invariant_factors)
 
     def to_json(self) -> dict:
         return {
@@ -483,39 +471,35 @@ def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusD
     """
     if len(chart.monoids) == 1:
         return _single_chart_pair(chart.monoids[0], prefix="R")
-    pieces = []
-    for k, m in enumerate(chart.monoids, start=1):
-        ext = canonical_kummer_extension(m)
-        if ext.quotient_invariant_factors:
-            raise UnsupportedConfiguration(
-                "multiple charts are supported only when every chart is free"
-            )
-        pieces.append(_single_chart_pair(m, prefix=f"C{k}.R"))
     components: list = []
     nonempty = {frozenset()}
     meta: dict = {}
-    for cx, _ in pieces:
+    for k, m in enumerate(chart.monoids, start=1):
+        cx, piece = _single_chart_pair(m, prefix=f"C{k}.R")
+        if piece.invariant_factors:
+            raise UnsupportedConfiguration(
+                "multiple charts are supported only when every chart is free"
+            )
         components.extend(cx.components)
         nonempty |= cx.nonempty
         meta.update(cx.stratum_meta)
     snc = SncComplex(tuple(components), frozenset(nonempty), meta)
-    data = FixedLocusData(tuple(components), (), (), ())
-    return snc, data
+    return snc, FixedLocusData(tuple(components), (), (), ())
 
 
 def _single_chart_pair(m: ToricMonoid, prefix: str) -> tuple[SncComplex, FixedLocusData]:
     ext = canonical_kummer_extension(m)
     rays = ext.rays
     labels = tuple(f"{prefix}{j}" for j in range(1, len(rays) + 1))
-    nonempty = frozenset(
-        frozenset(lab for k, lab in enumerate(labels) if mask >> k & 1)
-        for mask in range(1 << len(labels))
-    )
+    nonempty = frozenset(_subsets(labels))
     meta = {
         frozenset({lab}): {"ray": list(ray)}
         for lab, ray in zip(labels, rays)
     }
     factors, weights = _quotient_weights(m, ext)
+    # g moves coordinate j when sum_k g_k w_kj / d_k is not an integer,
+    # tested over the common denominator lcm(d_k)
+    lcm = math.lcm(*factors)
     fixed = []
     for g in product(*(range(d) for d in factors)):
         if not any(g):
@@ -523,7 +507,7 @@ def _single_chart_pair(m: ToricMonoid, prefix: str) -> tuple[SncComplex, FixedLo
         moved = frozenset(
             lab
             for j, lab in enumerate(labels)
-            if sum(Fraction(gk * wrow[j], dk) for gk, wrow, dk in zip(g, weights, factors)) % 1 != 0
+            if sum(gk * wrow[j] * (lcm // dk) for gk, wrow, dk in zip(g, weights, factors)) % lcm
         )
         fixed.append((g, moved))
     data = FixedLocusData(labels, factors, weights, tuple(fixed))
@@ -534,14 +518,8 @@ def _quotient_weights(m: ToricMonoid, ext) -> tuple[tuple[int, ...], tuple[tuple
     # Lattice basis vectors in root-basis coordinates form the columns; the
     # left Smith transform then carries each coordinate direction to its
     # class in the diagonalized quotient.
-    basis_cols = [[v[d] for v in ext.target_basis] for d in range(m.ambient_rank)]
-    col_vectors = []
-    for row in group_lattice(m):
-        sol = solve_linear(basis_cols, [Fraction(x) for x in row])
-        assert sol is not None and all(s.denominator == 1 for s in sol)
-        col_vectors.append([int(s) for s in sol])
     n = len(ext.target_basis)
-    mat = [[col_vectors[c][r] for c in range(len(col_vectors))] for r in range(n)]
+    mat = [list(col) for col in zip(*_lattice_in_basis(m, ext.target_basis))]
     u, d, _ = smith_normal_form(mat)
     diag = [d[i][i] for i in range(n)]
     keep = [k for k, dk in enumerate(diag) if abs(dk) >= 2]

@@ -3,13 +3,16 @@
 All routines work on plain python ints and fractions.Fraction; no floating
 point anywhere.  Matrices are lists of row lists.  Sizes are expected to be
 small (ranks <= 8 or so), so the implementations favour clarity and exactness
-over asymptotics.
+over asymptotics.  The rational routines convert their inputs to Fraction
+themselves, so callers pass ints or Fractions as they have them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+Rational = Union[int, Fraction]
 
 
 def _nonzero(row: Sequence[int]) -> bool:
@@ -111,18 +114,22 @@ def smith_normal_form(
         for r in V:
             r[i], r[j] = r[j], r[i]
 
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the remaining block as pivot
+    def pivot_smallest(t: int) -> bool:
+        # move the first smallest nonzero entry of the block from (t, t) on
+        # to (t, t); False when the block is zero
         pos = None
         for i in range(t, m):
             for j in range(t, n):
                 if a[i][j] != 0 and (pos is None or abs(a[i][j]) < abs(a[pos[0]][pos[1]])):
                     pos = (i, j)
         if pos is None:
-            break
+            return False
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
+        return True
+
+    t = 0
+    while t < min(m, n) and pivot_smallest(t):
         while True:
             for i in range(t + 1, m):
                 if a[i][t] != 0:
@@ -135,15 +142,7 @@ def smith_normal_form(
             )
             if dirty:
                 # a remainder became the new, strictly smaller pivot candidate
-                pos = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        if a[i][j] != 0 and (
-                            pos is None or abs(a[i][j]) < abs(a[pos[0]][pos[1]])
-                        ):
-                            pos = (i, j)
-                swap_rows(t, pos[0])
-                swap_cols(t, pos[1])
+                pivot_smallest(t)
                 continue
             # pivot must divide the rest of the block for the invariant chain
             offender = None
@@ -164,63 +163,52 @@ def smith_normal_form(
     return U, a, V
 
 
-def invariant_factors(mat: Sequence[Sequence[int]], keep_ones: bool = False) -> list[int]:
-    """Nonzero diagonal entries of the Smith form, optionally dropping 1s."""
+def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonal entries of the Smith form that are at least 2."""
     _, d, _ = smith_normal_form(mat)
-    out = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
-    if not keep_ones:
-        out = [v for v in out if v != 1]
-    return out
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] > 1]
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination with exact fractions."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def solve_linear(
-    a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    Free variables, if any, are set to zero, so the output is deterministic.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    mat = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+def _gauss_jordan(mat: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Reduce `mat` in place over its first `ncols` columns; returns the
+    (row, column) pivots, in order.  Pivot rows come first and are scaled to
+    a unit pivot, and every other row is zero in each pivot column."""
     pivots: list[tuple[int, int]] = []
     r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if mat[i][col] != 0), None)
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = mat[r][col]
         mat[r] = [v / inv for v in mat[r]]
-        for i in range(m):
+        for i in range(len(mat)):
             if i != r and mat[i][col] != 0:
                 f = mat[i][col]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append((r, col))
         r += 1
-    for i in range(r, m):
-        if mat[i][n] != 0:
-            return None
+    return pivots
+
+
+def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank over Q by Gauss-Jordan elimination with exact fractions."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
+
+
+def solve_linear(
+    a_rows: Sequence[Sequence[Rational]], b: Sequence[Rational]
+) -> Optional[list[Fraction]]:
+    """One exact solution x of A x = b, or None if inconsistent.
+
+    Free variables, if any, are set to zero, so the output is deterministic.
+    """
+    n = len(a_rows[0]) if a_rows else 0
+    mat = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+    pivots = _gauss_jordan(mat, n)
+    if any(row[n] != 0 for row in mat[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
     for row, col in pivots:
         x[col] = mat[row][n]
@@ -228,7 +216,7 @@ def solve_linear(
 
 
 def feasible_nonneg(
-    a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a_rows: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
     """Exact phase-1 simplex: some x >= 0 with A x = b, or None.
 
@@ -296,9 +284,7 @@ def nonneg_combination(
     if not columns:
         return [] if not _nonzero(target) else None
     dim = len(columns[0])
-    a_rows = [[Fraction(col[d]) for col in columns] for d in range(dim)]
-    b = [Fraction(v) for v in target]
-    return feasible_nonneg(a_rows, b)
+    return feasible_nonneg([[col[d] for col in columns] for d in range(dim)], list(target))
 
 
 def separating_functional(
@@ -311,17 +297,14 @@ def separating_functional(
     variable per inequality.
     """
     npos = len(pos_vecs)
-    a_rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    a_rows: list[list[int]] = []
     for zv in zero_vecs:
-        row = [Fraction(v) for v in zv] + [Fraction(-v) for v in zv] + [Fraction(0)] * npos
-        a_rows.append(row)
-        b.append(Fraction(0))
+        a_rows.append(list(zv) + [-v for v in zv] + [0] * npos)
     for k, pv in enumerate(pos_vecs):
-        row = [Fraction(v) for v in pv] + [Fraction(-v) for v in pv] + [Fraction(0)] * npos
-        row[2 * dim + k] = Fraction(-1)
+        row = list(pv) + [-v for v in pv] + [0] * npos
+        row[2 * dim + k] = -1
         a_rows.append(row)
-        b.append(Fraction(1))
+    b = [0] * len(zero_vecs) + [1] * npos
     sol = feasible_nonneg(a_rows, b)
     if sol is None:
         return None

@@ -383,24 +383,33 @@ def canonical_kummer_extension(m: ToricMonoid) -> KummerExtension:
         raise NotSimplicial("extremal rays are linearly dependent")
     ray_set = set(rays)
     others = [q for q in indecomposables(m) if q not in ray_set]
-    coeff_cols = [[Fraction(r[d]) for r in rays] for d in range(m.ambient_rank)]
+    coeff_cols = [[r[d] for r in rays] for d in range(m.ambient_rank)]
     root_orders = [1] * len(rays)
     for q in others:
-        sol = solve_linear(coeff_cols, [Fraction(x) for x in q])
+        sol = solve_linear(coeff_cols, q)
         assert sol is not None, "indecomposable must lie in the ray span"
         for j, coeff in enumerate(sol):
             root_orders[j] = math.lcm(root_orders[j], coeff.denominator)
     basis = tuple(
         tuple(Fraction(x, c) for x in ray) for ray, c in zip(rays, root_orders)
     )
-    basis_cols = [[v[d] for v in basis] for d in range(m.ambient_rank)]
+    factors = tuple(invariant_factors(_lattice_in_basis(m, basis)))
+    return KummerExtension(m, basis, tuple(root_orders), factors)
+
+
+def _lattice_in_basis(
+    m: ToricMonoid, basis: Sequence[RationalVector]
+) -> list[list[int]]:
+    """The group lattice's Hermite basis rows in the coordinates of `basis`,
+    a basis of its span over which the lattice is integral, such as the
+    root basis of a Kummer extension."""
+    cols = [[v[d] for v in basis] for d in range(m.ambient_rank)]
     rows = []
     for lattice_row in group_lattice(m):
-        sol = solve_linear(basis_cols, [Fraction(x) for x in lattice_row])
+        sol = solve_linear(cols, lattice_row)
         assert sol is not None and all(s.denominator == 1 for s in sol)
         rows.append([int(s) for s in sol])
-    factors = tuple(invariant_factors(rows))
-    return KummerExtension(m, basis, tuple(root_orders), factors)
+    return rows
 
 
 def face_strata(m: ToricMonoid) -> Preorder:

@@ -393,7 +393,7 @@ def strata_preorder(components: Iterable, ambient_dim: int) -> Preorder:
             f"ambient dimension {ambient_dim} below component count {len(labels)}",
             stacklevel=2,
         )
-    subsets = [frozenset(s) for s in _subsets(labels)]
+    subsets = list(_subsets(labels))
     subsets.sort(key=lambda s: (-len(s), sorted(map(_sort_token, s))))
     rows = []
     for s in subsets:
@@ -405,9 +405,11 @@ def strata_preorder(components: Iterable, ambient_dim: int) -> Preorder:
     return Preorder(subsets, rows)
 
 
-def _subsets(labels: tuple) -> Iterable[tuple]:
-    for mask in range(1 << len(labels)):
-        yield tuple(l for i, l in enumerate(labels) if mask >> i & 1)
+def _subsets(labels: Iterable) -> Iterable[frozenset]:
+    """Every subset of the labels, in no particular order."""
+    items = tuple(labels)
+    for mask in range(1 << len(items)):
+        yield frozenset(l for i, l in enumerate(items) if mask >> i & 1)
 
 
 def _sort_token(label):

@@ -271,6 +271,20 @@ class TestDecomposeCommand:
         assert data["total"] == 4 + 2 + 3 + 2 * 1
         assert data["invariant"] == "G"
 
+    def test_mixed_int_and_str_labels(self, tmp_path, capsys):
+        scene = {
+            "kind": "snc",
+            "components": [2, "b"],
+            "nonempty": [[], [2], ["b"], ["b", 2]],
+            "assignment": {
+                "value_system": "int",
+                "values": {"X": 1, "D_{2}": 1, "D_{b}": 1, "D_{2,b}": 1},
+            },
+        }
+        data = run_json(capsys, ["decompose", write_scene(tmp_path, scene),
+                                 "--level", "2"])
+        assert data["total"] == 4
+
     def test_assignment_required(self, tmp_path, capsys):
         scene = dict(LINE_SCENE)
         del scene["assignment"]

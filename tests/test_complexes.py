@@ -109,6 +109,15 @@ class TestSncComplex:
         with pytest.raises(UnknownStratum):
             snc_from_divisors([1], [[1]]).stratum_name([1, 1, 2])
 
+    def test_stratum_names_follow_component_order(self):
+        def pair(a, b):
+            return snc_from_divisors([a, b], [[a], [b], [a, b]])
+
+        # int labels once sorted as strings, giving D_{10,9}
+        assert pair(9, 10).stratum_name([10, 9]) == "D_{9,10}"
+        assert pair("b", "a").stratum_name(["a", "b"]) == "D_{b,a}"
+        assert pair(2, "b").stratum_name(["b", 2]) == "D_{2,b}"
+
     def test_json_shape(self):
         cx = snc_from_divisors(["A"], [[], ["A"]])
         assert cx.to_json() == {"components": ["A"], "nonempty": [["A"], []]}
@@ -336,8 +345,6 @@ class TestCanonicalRootPair:
     def test_weight_rows_annihilated_by_lattice(self, monoid_library):
         # Every lattice vector must act trivially: its basis coordinates
         # paired with each weight row land in the factor's modulus.
-        from fractions import Fraction
-
         from logsod.intlinalg import solve_linear
         from logsod.monoids import group_lattice
 
@@ -347,7 +354,7 @@ class TestCanonicalRootPair:
             _, data = canonical_root_pair(SimplicialChart((m,)))
             cols = [[v[d] for v in ext.target_basis] for d in range(m.ambient_rank)]
             for row in group_lattice(m):
-                sol = solve_linear(cols, [Fraction(x) for x in row])
+                sol = solve_linear(cols, row)
                 coords = [int(s) for s in sol]
                 for dk, wrow in zip(data.invariant_factors, data.weights):
                     assert sum(c * w for c, w in zip(coords, wrow)) % dk == 0
@@ -359,6 +366,19 @@ class TestCanonicalRootPair:
         assert snc.is_nonempty({"C2.R1"})
         assert not snc.is_nonempty({"C1.R1", "C2.R1"})
         assert data.invariant_factors == ()
+
+    def test_multi_chart_extends_each_chart_once(self, monkeypatch):
+        import logsod.complexes as complexes
+
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return canonical_kummer_extension(m)
+
+        monkeypatch.setattr(complexes, "canonical_kummer_extension", counted)
+        canonical_root_pair(SimplicialChart((FREE2, FREE1)))
+        assert calls == [FREE2, FREE1]
 
     def test_multi_chart_must_be_free(self):
         with pytest.raises(UnsupportedConfiguration, match="free"):

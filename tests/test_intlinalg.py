@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from logsod.intlinalg import (
@@ -25,6 +26,10 @@ def mat_mul(a, b):
         [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
         for row in a
     ]
+
+
+def diagonal(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
 def rand_matrix(rng, rows, cols, bound=9):
@@ -99,12 +104,13 @@ class TestSmith:
     def test_frozen_small_cases(self):
         assert invariant_factors([[1, 1], [1, -1]]) == [2]
         assert invariant_factors([[2, 0], [0, 3]]) == [6]
-        assert invariant_factors([[2, 0], [0, 3]], keep_ones=True) == [1, 6]
+        assert diagonal(smith_normal_form([[2, 0], [0, 3]])[1]) == [1, 6]
         assert invariant_factors([[1, 0], [0, 1]]) == []
 
     def test_mixed_root_lattice(self):
         rows = [[1, 1, -1], [0, 2, 0], [0, 0, 3]]
-        assert invariant_factors(rows, keep_ones=True) == [1, 1, 6]
+        assert diagonal(smith_normal_form(rows)[1]) == [1, 1, 6]
+        assert invariant_factors(rows) == [6]
 
 
 class TestSolve:
@@ -123,6 +129,43 @@ class TestSolve:
         assert rational_rank([[1, 2], [2, 4]]) == 1
         assert rational_rank([[1, 0], [0, 1]]) == 2
         assert rational_rank([[0, 0]]) == 0
+
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def systems(draw):
+    """A matrix of ints or Fractions up to 5 x 6 and a right-hand side."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    return rows, [draw(_entries) for _ in range(m)]
+
+
+class TestEliminationAgainstSympy:
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_rank(self, system):
+        rows, _ = system
+        assert rational_rank(rows) == sympy.Matrix(rows).rank()
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_solve(self, system):
+        rows, b = system
+        a = sympy.Matrix(rows)
+        consistent = a.rank() == a.row_join(sympy.Matrix(b)).rank()
+        x = solve_linear(rows, b)
+        assert (x is not None) == consistent
+        if x is None:
+            return
+        assert all(isinstance(v, Fraction) for v in x)
+        assert [sum(c * v for c, v in zip(row, x)) for row in rows] == b
+        _, pivots = a.rref()
+        assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
 
 
 class TestFeasibility:
