@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import warnings
+from collections.abc import Callable, Iterator
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -161,17 +162,75 @@ def _option(args, data: dict, name: str):
     return data.get("options", {}).get(name)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    body = (
-        json.dumps(payload, indent=2, ensure_ascii=False)
-        if args.format == "json"
-        else text
-    )
-    body += "\n"
-    if args.output:
-        Path(args.output).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+def _emit(args, to_json: Callable[[], dict], to_text: Callable[[], str]) -> None:
+    """Write the output in the format asked for, rendering only that format,
+    to --output or stdout.
+
+    The output file is opened here, once the command's work has succeeded,
+    so a failed command leaves none behind.  JSON is written as it is
+    encoded (see _json_chunks).
+    """
+    chunks = _json_chunks(to_json()) if args.format == "json" else (to_text(),)
+    if not args.output:
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write output file: {exc}") from exc
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """json.dumps(payload, indent=2, ensure_ascii=False) in pieces, for a
+    payload with str keys.  A value that is an iterator (psod's labels) is
+    written one item at a time, as the list of its items would be, so that
+    neither the items nor the document are held at once."""
+    sep = "{\n  "
+    for key, value in payload.items():
+        yield sep + _encode_str(key) + ": "
+        sep = ",\n  "
+        if not isinstance(value, Iterator):
+            yield _encode(value, "  ")
+            continue
+        item_sep = "[\n    "
+        for item in value:
+            yield item_sep + _encode(item, "    ")
+            item_sep = ",\n    "
+        yield "[]" if item_sep == "[\n    " else "\n  ]"
+    yield "{}" if sep == "{\n  " else "\n}"
+
+
+_encode_str = json.encoder.encode_basestring
+
+
+def _encode(value, indent: str) -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False) for a value nested at
+    the given indentation.  Containers are joined here, which is faster than
+    json's pure-Python indenting encoder; other values are json's own."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    text = json.dumps(value, indent=2, ensure_ascii=False)
+    return text.replace("\n", "\n" + indent)
 
 
 def _vec(v) -> str:
@@ -203,16 +262,19 @@ def cmd_monoid(args) -> int:
         "indecomposables": [list(q) for q in indecomposables(m)],
         "faces": [[list(r) for r in f] for f in faces.elements],
     }
-    lines = [
-        f"rank: {m.ambient_rank}",
-        "generators: " + "; ".join(_vec(g) for g in m.generators),
-        "rays: " + "; ".join(_vec(r) for r in rays),
-        f"simplicial: {str(simplicial).lower()}",
-        f"saturated: {str(payload['saturated']).lower()}",
-        "indecomposables: " + "; ".join(_vec(q) for q in payload["indecomposables"]),
-        f"faces: {len(faces.elements)}",
-    ]
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        return "\n".join([
+            f"rank: {m.ambient_rank}",
+            "generators: " + "; ".join(_vec(g) for g in m.generators),
+            "rays: " + "; ".join(_vec(r) for r in rays),
+            f"simplicial: {str(simplicial).lower()}",
+            f"saturated: {str(payload['saturated']).lower()}",
+            "indecomposables: " + "; ".join(_vec(q) for q in payload["indecomposables"]),
+            f"faces: {len(faces.elements)}",
+        ])
+
+    _emit(args, lambda: payload, text)
     return EXIT_OK
 
 
@@ -223,14 +285,16 @@ def cmd_kummer(args) -> int:
     if data["kind"] != "monoid":
         raise ParseError("kummer command needs a monoid scene")
     ext = canonical_kummer_extension(_build_monoid(data))
-    payload = ext.to_json()
-    lines = [
-        "basis: " + "; ".join(_vec(v) for v in ext.target_basis),
-        "root orders: " + _vec(ext.root_orders),
-        "quotient invariant factors: " + _vec(ext.quotient_invariant_factors),
-        f"group order: {ext.group_order()}",
-    ]
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        return "\n".join([
+            "basis: " + "; ".join(_vec(v) for v in ext.target_basis),
+            "root orders: " + _vec(ext.root_orders),
+            "quotient invariant factors: " + _vec(ext.quotient_invariant_factors),
+            f"group order: {ext.group_order()}",
+        ])
+
+    _emit(args, ext.to_json, text)
     return EXIT_OK
 
 
@@ -266,22 +330,30 @@ def cmd_psod(args) -> int:
         raise ParseError("a level is required (--level or scene options)")
     order = _option(args, data, "order") or "factorial"
     desc = _psod_descriptor(data, level, order)
+    _emit(args, desc.json_outline, lambda: _psod_text(desc))
+    return EXIT_OK
+
+
+def _psod_text(desc) -> str:
+    from logsod.complexes import in_component_order
+
+    names = {}
     lines = [
         f"order: {desc.order}; level: {_vec(desc.level)}"
         + (f"; truncation: {desc.truncation}" if desc.truncation else "")
     ]
-    for i, lab in enumerate(desc.labels):
-        chars = _vec(lab.character)
-        stratum = "X" if not lab.stratum else "{" + ",".join(
-            str(x) for x in sorted(lab.stratum, key=str)) + "}"
+    for i, lab in enumerate(desc.labels, start=1):
+        stratum = names.get(lab.stratum)
+        if stratum is None:
+            stratum = names[lab.stratum] = "X" if not lab.stratum else "{" + ",".join(
+                str(x) for x in in_component_order(desc.components, lab.stratum)) + "}"
         extra = ""
         if lab.zero:
             extra += "  [zero]"
         if lab.first_level is not None:
             extra += f"  [level {lab.first_level}]"
-        lines.append(f"{i + 1:>4}. {chars}  on {stratum}{extra}")
-    _emit(args, desc.to_json(), "\n".join(lines))
-    return EXIT_OK
+        lines.append(f"{i:>4}. {_vec(lab.character)}  on {stratum}{extra}")
+    return "\n".join(lines)
 
 
 def cmd_decompose(args) -> int:
@@ -326,7 +398,7 @@ def cmd_decompose(args) -> int:
         report = decompose_simplicial_complexified(chart, fixed, v, level)
     else:
         raise ParseError("decompose command needs an snc, nc, or chart scene")
-    _emit(args, report.to_json(), report.to_text())
+    _emit(args, report.to_json, report.to_text)
     return EXIT_OK
 
 
@@ -337,18 +409,21 @@ def cmd_strictify(args) -> int:
     if data["kind"] != "nc":
         raise ParseError("strictify command needs an nc scene")
     snc, log = strictify(nc_from_json(data))
-    payload = {"complex": snc.to_json(), "log": log.to_json()}
-    lines = []
-    for i, step in enumerate(log.steps, start=1):
-        lines.append(
-            f"step {i}: blow up {step.stratum} (codim {step.codim}) "
-            f"-> {step.exceptional}"
-        )
-    if not log.steps:
-        lines.append("already simple; no blow-ups")
-    lines.append("components: " + ", ".join(str(c) for c in snc.components))
-    lines.append(f"strata: {len(snc.strata(proper=True))}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = []
+        for i, step in enumerate(log.steps, start=1):
+            lines.append(
+                f"step {i}: blow up {step.stratum} (codim {step.codim}) "
+                f"-> {step.exceptional}"
+            )
+        if not log.steps:
+            lines.append("already simple; no blow-ups")
+        lines.append("components: " + ", ".join(str(c) for c in snc.components))
+        lines.append(f"strata: {len(snc.strata(proper=True))}")
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"complex": snc.to_json(), "log": log.to_json()}, text)
     return EXIT_OK
 
 
@@ -356,7 +431,7 @@ def cmd_selfcheck(args) -> int:
     from logsod.selfcheck import run_selfcheck
 
     report = run_selfcheck(args.exhaustive_level)
-    _emit(args, report.to_json(), report.to_text())
+    _emit(args, report.to_json, report.to_text)
     return EXIT_OK if report.passed else EXIT_SELFCHECK
 
 

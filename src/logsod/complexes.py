@@ -37,6 +37,7 @@ __all__ = [
     "SncComplex",
     "canonical_root_pair",
     "fixed_locus_index",
+    "in_component_order",
     "is_simple",
     "nc_from_json",
     "normalize_stratum",
@@ -71,7 +72,7 @@ class SncComplex:
             raise ValueError("the empty intersection (the total space) is nonempty")
         for j in self.nonempty:
             if not j <= comp:
-                raise ValueError(f"stratum {sorted(j)} uses unknown components")
+                raise ValueError(f"stratum {sorted(j, key=_sort_token)} uses unknown components")
             for c in j:
                 if j - {c} not in self.nonempty:
                     raise ValueError("nonempty strata must be downward closed")
@@ -93,14 +94,19 @@ class SncComplex:
             raise UnknownStratum(f"no stratum {sorted(j, key=_sort_token)}")
         if not j:
             return "X"
-        order = {c: k for k, c in enumerate(self.components)}
-        return "D_{" + ",".join(str(c) for c in sorted(j, key=order.__getitem__)) + "}"
+        return "D_{" + ",".join(str(c) for c in in_component_order(self.components, j)) + "}"
 
     def to_json(self) -> dict:
         return {
             "components": list(self.components),
-            "nonempty": [sorted(j, key=str) for j in self.strata()],
+            "nonempty": [in_component_order(self.components, j) for j in self.strata()],
         }
+
+
+def in_component_order(components: Sequence, labels: Iterable) -> list:
+    """The labels, each one of the components, in the components' order."""
+    position = {c: k for k, c in enumerate(components)}
+    return sorted(labels, key=position.__getitem__)
 
 
 def _label_key(j: Stratum):
@@ -440,7 +446,7 @@ class FixedLocusData:
             "invariant_factors": list(self.invariant_factors),
             "weights": [list(r) for r in self.weights],
             "fixed_components": [
-                {"element": list(g), "stratum": sorted(t, key=str)}
+                {"element": list(g), "stratum": in_component_order(self.components, t)}
                 for g, t in self.fixed_components
             ],
         }

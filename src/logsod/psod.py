@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -53,7 +53,7 @@ BASE = "BaseStack"
 GERBE = "GerbeCharacter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorLabel:
     """One factor: a character with its exact support and provenance.
 
@@ -152,11 +152,18 @@ class PsodDescriptor:
         return next(lab for lab in self.labels if lab.provenance == BASE)
 
     def to_json(self) -> dict:
+        out = self.json_outline()
+        out["labels"] = list(out["labels"])
+        return out
+
+    def json_outline(self) -> dict:
+        """to_json() with "labels" as an iterator over the labels' JSON
+        objects, so that a writer can encode them one at a time."""
         out = {
             "components": list(self.components),
             "level": list(self.level),
             "order": self.order,
-            "labels": [lab.to_json() for lab in self.labels],
+            "labels": map(FactorLabel.to_json, self.labels),
         }
         if self.truncation is not None:
             out["truncation"] = self.truncation
@@ -181,7 +188,8 @@ def _descriptor(
 ) -> PsodDescriptor:
     # One label per character of the level, each built with its final
     # annotations: first_level on tower stages, normalized when names (a
-    # stratum -> normalized names map) is given.
+    # stratum -> normalized names map) is given.  The labels on one stratum
+    # share its frozenset and its annotations, computed once.
     count = math.prod(level)
     if count > LABEL_CAP:
         raise TooManyLabels(
@@ -192,19 +200,28 @@ def _descriptor(
     chars = enumerate_characters(level, range(1, len(level) + 1))
     if order == "standard":
         chars.sort(key=_standard_key)
+    strata: dict[tuple[bool, ...], tuple] = {}
     labels = []
     for chi in chars:
-        support = frozenset(
-            c for c, x in zip(cx.components, chi) if not x.is_zero()
-        )
+        on = tuple(not x.is_zero() for x in chi)
+        stratum = strata.get(on)
+        if stratum is None:
+            support = frozenset(c for c, x in zip(cx.components, on) if x)
+            stratum = strata[on] = (
+                support,
+                BASE if not support else GERBE,
+                not cx.is_nonempty(support),
+                None if names is None else names(support),
+            )
+        support, provenance, zero, normalized = stratum
         labels.append(
             FactorLabel(
                 stratum=support,
                 character=chi,
-                provenance=BASE if not support else GERBE,
-                zero=not cx.is_nonempty(support),
+                provenance=provenance,
+                zero=zero,
                 first_level=None if truncation is None else vector_first_level(chi),
-                normalized=None if names is None else names(support),
+                normalized=normalized,
             )
         )
     return PsodDescriptor(
@@ -301,8 +318,10 @@ def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
     return _descriptor(cx, level, "factorial", truncation)
 
 
-# Most labels a descriptor builds (peak memory runs at about 3 KB a label);
-# embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP of them.
+# Most labels a descriptor builds.  A `logsod psod` process peaks at about
+# 0.9 KB a label (one divisor at level 9: 362,880 labels, 328 MB), of which
+# the descriptor holds about 280 B and factorial_scalar_key's cache about
+# 275 B; embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP.
 LABEL_CAP = 600_000
 FULL_CHECK_CAP = 40_000
 SUBLEVEL_CHECK_CAP = 600_000
@@ -421,7 +440,7 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
     level = (math.factorial(truncation),) * len(snc.components)
-    names = cache(partial(normalized_names, nc, simple, snc))
+    names = partial(normalized_names, nc, simple, snc)
     breakdown = tuple((step.stratum, step.codim - 1) for step in log.steps)
     return _descriptor(snc, level, "factorial", truncation, names, breakdown)
 

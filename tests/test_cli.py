@@ -7,13 +7,23 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logsod.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFCHECK, main
+from logsod.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFCHECK, _json_chunks, main
+from logsod.complexes import snc_from_divisors
+from logsod.orders import factorial_scalar_key
+from logsod.psod import psod_infinite, psod_snc
 from logsod.selfcheck import CheckResult, SelfcheckReport
+from scenes import scenes
 
 A1_SCENE = {"kind": "monoid", "rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]}
 FREE_SCENE = {"kind": "monoid", "rank": 2, "generators": [[1, 0], [0, 1]]}
@@ -335,6 +345,223 @@ class TestDecomposeCommand:
             assert data["total"] == total
 
 
+class TestComponentOrder:
+    """A stratum's labels are written in component order wherever a
+    stratum is written, as decompose names it; int labels 9 and 10 differ
+    from their string order."""
+
+    SNC = {
+        "kind": "snc",
+        "components": [9, 10],
+        "nonempty": [[], [9], [10], [9, 10]],
+        "assignment": {
+            "value_system": "int",
+            "values": {"X": 1, "D_{9}": 2, "D_{10}": 3, "D_{9,10}": 4},
+        },
+    }
+    NC = {
+        "kind": "nc",
+        "components": [9, 10],
+        "crossings": [{"name": "P", "branches": [[9, 1], [10, 1]]}],
+        "ambient_dim": 2,
+    }
+
+    def test_psod_text(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, ["psod", write_scene(tmp_path, self.SNC),
+                                        "--level", "2", "--format", "text"])
+        assert code == EXIT_OK
+        assert "   1. (-1/2, -1/2)  on {9,10}  [level 2]" in out.splitlines()
+
+    def test_decompose_names(self, tmp_path, capsys):
+        data = run_json(capsys, ["decompose", write_scene(tmp_path, self.SNC), "--level", "2"])
+        assert [r["stratum"] for r in data["rows"]] == ["D_{9}", "D_{10}", "D_{9,10}"]
+        assert data["total"] == 10
+
+    def test_strictify_json(self, tmp_path, capsys):
+        data = run_json(capsys, ["strictify", write_scene(tmp_path, self.NC)])
+        assert data["complex"]["nonempty"] == [[9, 10], [9], [10], []]
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reporting the first difference; pytest's own diff of two
+    long strings would take minutes in each shrinking step of a property."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"outputs differ at offset {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+class TestStreamedJson:
+    """psod JSON is written one label at a time; its bytes are those of
+    json.dumps over the whole descriptor."""
+
+    @staticmethod
+    def expected(desc) -> str:
+        return json.dumps(desc.to_json(), indent=2, ensure_ascii=False) + "\n"
+
+    @staticmethod
+    def run_stdin(scene: dict, argv: list) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(scene))), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(['"labels": []', 'say "hi"', "back\\slash", "Dé", "Ω\u00a0✓", "\n\t"]),
+                st.text(max_size=4),
+                st.integers(-3, 12),
+            ),
+            min_size=1, max_size=3, unique=True,
+        ),
+        st.data(),
+    )
+    def test_snc_bytes_equal_whole_document(self, components, data):
+        strata = [[c for c in components if data.draw(st.booleans())] for _ in range(3)]
+        scene = {"kind": "snc", "components": components, "nonempty": strata}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cx = snc_from_divisors(components, strata)
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(1, 3))
+            argv, desc = ["--level", str(n)], psod_infinite(cx, n)
+        else:
+            level = [data.draw(st.integers(1, 3)) for _ in components]
+            argv = ["--level", ",".join(map(str, level)), "--order", "standard"]
+            desc = psod_snc(cx, level, order="standard")
+        code, out, _ = self.run_stdin(scene, ["psod", "-", *argv])
+        assert code == EXIT_OK
+        assert_same_text(out, self.expected(desc))
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "out.json"
+            assert self.run_stdin(scene, ["psod", "-", *argv, "--output", str(target)])[:2] == (EXIT_OK, "")
+            assert_same_text(target.read_text(encoding="utf-8"), out)
+
+    @pytest.mark.parametrize("scene", [NODAL_SCENE, TWO_NODE_SCENE, CHART_SCENE])
+    def test_nc_and_chart_bytes(self, tmp_path, capsys, scene):
+        from logsod.cli import _psod_descriptor
+
+        code, out, _ = run_cli(capsys, ["psod", write_scene(tmp_path, scene), "--level", "3"])
+        assert code == EXIT_OK
+        assert_same_text(out, self.expected(_psod_descriptor(scene, 3, "factorial")))
+
+    _values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: (
+            st.lists(inner, max_size=3)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+            | st.dictionaries(st.integers(-2, 2), inner, max_size=2)
+        ),
+        max_leaves=10,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=4), _values, st.booleans()), max_size=4))
+    def test_chunks_equal_json_dumps(self, fields):
+        # An iterator value is written as the list of its items.
+        payload = {k: iter(v) if lazy and isinstance(v, list) else v for k, v, lazy in fields}
+        whole = {k: v for k, v, _ in fields}
+        assert_same_text("".join(_json_chunks(payload)), json.dumps(whole, indent=2, ensure_ascii=False))
+
+
+class _Discard(io.TextIOBase):
+    def write(self, s: str) -> int:
+        return len(s)
+
+
+def test_psod_json_peak_memory_is_near_the_descriptor(tmp_path):
+    """Streaming keeps psod's peak near the descriptor's own size: no list of
+    label dicts, no encoder chunk list and no document string."""
+    scene = write_scene(tmp_path, LINE_SCENE)
+    with redirect_stdout(_Discard()):
+        assert main(["psod", scene, "--level", "2"]) == EXIT_OK  # loads the schema
+    cx = snc_from_divisors(("D",), [[], ["D"]])
+    # factorial_scalar_key caches one key per character, so both
+    # measurements start from an empty cache and count it alike.
+    tracemalloc.start()
+    try:
+        factorial_scalar_key.cache_clear()
+        base = tracemalloc.get_traced_memory()[0]
+        desc = psod_infinite(cx, 7)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        del desc
+        factorial_scalar_key.cache_clear()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with redirect_stdout(_Discard()):
+            code = main(["psod", scene, "--level", "7"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 1.5 * retained, (peak, retained)
+
+
+FUZZ_SCENES = scenes(st.integers(-3, 3), st.integers(1, 3))
+
+
+_COMMANDS = {
+    "monoid": ["monoid", "kummer"],
+    "snc": ["psod", "decompose"],
+    "nc": ["psod", "decompose", "strictify"],
+    "chart": ["psod", "decompose"],
+}
+
+
+@st.composite
+def fuzz_calls(draw):
+    """A schema-valid scene and a command for its kind, with a level for
+    psod and decompose.  Half the monoids get generators of the rank's
+    length, and half the scenes given to decompose get distinct components
+    and an int assignment over X and every stratum their listed strata
+    imply, so that more calls get past the first checks."""
+    scene = draw(FUZZ_SCENES)
+    command = draw(st.sampled_from(_COMMANDS[scene["kind"]]))
+    if scene["kind"] == "monoid" and draw(st.booleans()):
+        rank = scene["rank"]
+        scene["generators"] = [(g * rank)[:rank] for g in scene["generators"]]
+    if command == "decompose" and draw(st.booleans()):
+        comps = list(dict.fromkeys(scene.get("components", ())))
+        if comps:
+            scene["components"] = comps
+        names = {"X"}
+        for stratum in scene.get("nonempty", ()):
+            listed = [c for c in comps if c in stratum]
+            for mask in range(1, 1 << len(listed)):
+                names.add("D_{" + ",".join(str(c) for i, c in enumerate(listed) if mask >> i & 1) + "}")
+        values = {name: draw(st.integers(-3, 3)) for name in sorted(names)}
+        scene["assignment"] = {"value_system": "int", "values": values}
+    argv = [command, "-", "--format", draw(st.sampled_from(["json", "text"]))]
+    if command in ("psod", "decompose"):
+        levels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        argv += ["--level", ",".join(map(str, levels))]
+    if command == "psod" and draw(st.booleans()):
+        argv += ["--order", draw(st.sampled_from(["standard", "factorial"]))]
+    if command == "decompose" and draw(st.booleans()):
+        argv += ["--prime-to", str(draw(st.integers(2, 7)))]
+    return scene, argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzz_calls())
+    def test_schema_valid_scenes_keep_the_exit_contract(self, call):
+        scene, argv = call
+        first = TestStreamedJson.run_stdin(scene, argv)
+        code, out, err = first
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), err
+        assert "Traceback" not in err
+        if code != EXIT_OK:
+            assert out == ""
+        again = TestStreamedJson.run_stdin(scene, argv)
+        assert again[0] == code
+        assert_same_text(again[1], out)
+        assert_same_text(again[2], err)
+
+
 class TestStrictifyCommand:
     def test_nodal_one_step(self, tmp_path, capsys):
         data = run_json(capsys, ["strictify", write_scene(tmp_path, NODAL_SCENE)])
@@ -385,6 +612,36 @@ class TestInputHandling:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(out_path.read_text())["quotient_invariant_factors"] == [2]
+
+    def test_psod_output_file_matches_stdout(self, tmp_path, capsys):
+        out_path = tmp_path / "psod.json"
+        argv = ["psod", write_scene(tmp_path, P2_SCENE), "--level", "2"]
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert run_cli(capsys, [*argv, "--output", str(out_path)]) == (EXIT_OK, "", "")
+        assert out_path.read_text(encoding="utf-8") == stdout
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, where):
+        target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, ["monoid", write_scene(tmp_path, A1_SCENE),
+                                          "--output", str(target)])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: cannot write output file: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scene, argv", [
+        (SQUARE_SCENE, ["kummer"]),
+        (LINE_SCENE, ["psod", "--level", "12"]),
+    ])
+    def test_domain_error_leaves_no_output_file(self, tmp_path, capsys, scene, argv):
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, [argv[0], write_scene(tmp_path, scene), *argv[1:],
+                                          "--output", str(out_path)])
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -122,6 +122,16 @@ class TestSncComplex:
         cx = snc_from_divisors(["A"], [[], ["A"]])
         assert cx.to_json() == {"components": ["A"], "nonempty": [["A"], []]}
 
+    def test_json_lists_strata_in_component_order(self):
+        # as stratum_name does; sorting by str gave [10, 9]
+        for comps in ([9, 10], ["b", "a"], [2, "b"], ["b", 2]):
+            strata = snc_from_divisors(comps, [comps[:1], comps[1:], comps]).to_json()["nonempty"]
+            assert strata[0] == comps
+
+    def test_unknown_component_message_with_mixed_labels(self):
+        with pytest.raises(ValueError, match=r"stratum \[1, ''\] uses unknown components"):
+            SncComplex(("",), frozenset({frozenset(), frozenset({""}), frozenset({"", 1})}))
+
 
 class TestCrossings:
     def test_codim_is_branch_count(self):
@@ -394,6 +404,10 @@ class TestCanonicalRootPair:
             "weights": [[1, 1]],
             "fixed_components": [{"element": [1], "stratum": ["R1", "R2"]}],
         }
+
+    def test_json_lists_strata_in_component_order(self):
+        data = FixedLocusData((9, 10), (2,), ((1, 1),), (((1,), frozenset({9, 10})),))
+        assert data.to_json()["fixed_components"] == [{"element": [1], "stratum": [9, 10]}]
 
     def test_weight_shape_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from jsonschema.exceptions import best_match
 from logsod.cli import _scene_schema, load_scene
 from logsod.errors import ParseError
 from logsod.schemacheck import ANNOTATIONS, KEYWORDS, TYPES, conforms
+from scenes import scenes
 
 SCHEMA = _scene_schema()
 VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
@@ -87,53 +88,7 @@ class TestCoverage:
         assert load_scene(str(path)) == scene
 
 
-_ints = st.integers(-4, 4)
-_pos = st.integers(1, 6)
-_label = st.one_of(st.text("ABCD", max_size=2), _ints)
-_intvec = st.lists(_ints, min_size=1, max_size=3)
-_assignment = st.fixed_dictionaries(
-    {
-        "value_system": st.sampled_from(["int", "int_vector", "poly"]),
-        "values": st.dictionaries(
-            st.text("XD_{}12", max_size=4), st.one_of(_ints, st.lists(_ints, max_size=2)), max_size=3,
-        ),
-    },
-    optional={"invariant": st.text("KG", max_size=1)},
-)
-_options = st.fixed_dictionaries({}, optional={
-    "level": st.one_of(_pos, st.lists(_pos, min_size=1, max_size=3)),
-    "order": st.sampled_from(["standard", "factorial"]),
-    "prime_to": st.integers(2, 7),
-})
-_extras = {"assignment": _assignment, "options": _options}
-_crossing = st.fixed_dictionaries(
-    {"branches": st.lists(st.tuples(_label, _pos).map(list), min_size=1, max_size=3)},
-    optional={"name": st.text("NM", max_size=2), "codim": _pos},
-)
-_chart = st.fixed_dictionaries({"rank": _pos, "generators": st.lists(_intvec, min_size=1, max_size=3)})
-
-SCENES = st.one_of(
-    st.fixed_dictionaries(
-        {"kind": st.just("monoid"), "rank": _pos, "generators": st.lists(_intvec, min_size=1, max_size=3)},
-        optional={"options": _options},
-    ),
-    st.fixed_dictionaries(
-        {"kind": st.just("snc"), "components": st.lists(_label, min_size=1, max_size=3),
-         "nonempty": st.lists(st.lists(_label, max_size=3), max_size=4)},
-        optional={"empty": st.lists(st.lists(_label, max_size=3), max_size=2), **_extras},
-    ),
-    st.fixed_dictionaries(
-        {"kind": st.just("nc"), "components": st.lists(_label, min_size=1, max_size=3),
-         "crossings": st.lists(_crossing, max_size=3)},
-        optional={"closure_pairs": st.lists(st.lists(st.text("NE", max_size=2), min_size=2, max_size=2),
-                                            max_size=2),
-                  "ambient_dim": _pos, **_extras},
-    ),
-    st.fixed_dictionaries(
-        {"kind": st.just("chart"), "charts": st.lists(_chart, min_size=1, max_size=2)},
-        optional=_extras,
-    ),
-)
+SCENES = scenes(st.integers(-4, 4), st.integers(1, 6))
 
 
 def _places(node, path=()):
