@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,6 +27,7 @@ if TYPE_CHECKING:
     from logsod.complexes import SimplicialChart, SncComplex
     from logsod.decompose import InvariantAssignment
     from logsod.monoids import ToricMonoid
+    from logsod.psod import FactorLabel, PsodDescriptor
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -162,18 +164,24 @@ def _option(args, data: dict, name: str):
     return data.get("options", {}).get(name)
 
 
-def _emit(args, to_json: Callable[[], dict], to_text: Callable[[], str]) -> None:
+def _emit(args, json_chunks: Callable[[], Iterable[str]], to_text: Callable[[], str]) -> None:
     """Write the output in the format asked for, rendering only that format,
     to --output or stdout.
 
     The output file is opened here, once the command's work has succeeded,
     so a failed command leaves none behind.  JSON is written as it is
-    encoded (see _json_chunks).
+    encoded, chunk by chunk (see _json_chunks).  A write that fails, on the
+    file or on stdout (a closed pipe, a full disk), is a ParseError.
     """
-    chunks = _json_chunks(to_json()) if args.format == "json" else (to_text(),)
+    chunks = json_chunks() if args.format == "json" else (to_text(),)
     if not args.output:
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
+        try:
+            sys.stdout.writelines(_blocks(chunks))
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            raise ParseError(f"cannot write output: {exc}") from exc
         return
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -183,11 +191,41 @@ def _emit(args, to_json: Callable[[], dict], to_text: Callable[[], str]) -> None
         raise ParseError(f"cannot write output file: {exc}") from exc
 
 
-def _json_chunks(payload: dict) -> Iterator[str]:
+def _blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined into blocks of at least 64K characters (but the
+    last), so that an unbuffered stdout (PYTHONUNBUFFERED) takes one write
+    call per block rather than one per chunk."""
+    block: list[str] = []
+    length = 0
+    for chunk in chunks:
+        block.append(chunk)
+        length += len(chunk)
+        if length >= 1 << 16:
+            yield "".join(block)
+            block, length = [], 0
+    yield "".join(block)
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that what is
+    still buffered after a failed write does not fail again at exit, with an
+    "Exception ignored" report."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _json_chunks(payload: dict, encode_item: Callable[[object, str], str] | None = None) -> Iterator[str]:
     """json.dumps(payload, indent=2, ensure_ascii=False) in pieces, for a
     payload with str keys.  A value that is an iterator (psod's labels) is
     written one item at a time, as the list of its items would be, so that
-    neither the items nor the document are held at once."""
+    neither the items nor the document are held at once.  encode_item, when
+    given, writes those items in place of _encode."""
+    encode_item = encode_item or _encode
     sep = "{\n  "
     for key, value in payload.items():
         yield sep + _encode_str(key) + ": "
@@ -197,7 +235,7 @@ def _json_chunks(payload: dict) -> Iterator[str]:
             continue
         item_sep = "[\n    "
         for item in value:
-            yield item_sep + _encode(item, "    ")
+            yield item_sep + encode_item(item, "    ")
             item_sep = ",\n    "
         yield "[]" if item_sep == "[\n    " else "\n  ]"
     yield "{}" if sep == "{\n  " else "\n}"
@@ -274,7 +312,7 @@ def cmd_monoid(args) -> int:
             f"faces: {len(faces.elements)}",
         ])
 
-    _emit(args, lambda: payload, text)
+    _emit(args, lambda: _json_chunks(payload), text)
     return EXIT_OK
 
 
@@ -294,7 +332,7 @@ def cmd_kummer(args) -> int:
             f"group order: {ext.group_order()}",
         ])
 
-    _emit(args, ext.to_json, text)
+    _emit(args, lambda: _json_chunks(ext.to_json()), text)
     return EXIT_OK
 
 
@@ -330,29 +368,68 @@ def cmd_psod(args) -> int:
         raise ParseError("a level is required (--level or scene options)")
     order = _option(args, data, "order") or "factorial"
     desc = _psod_descriptor(data, level, order)
-    _emit(args, desc.json_outline, lambda: _psod_text(desc))
+    _emit(args, lambda: _psod_json(desc), lambda: _psod_text(desc))
     return EXIT_OK
 
 
-def _psod_text(desc) -> str:
+def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
+    """The JSON of desc.to_json(), each label written from the pieces of
+    its stratum (see _stratum_pieces) and its characters' integers."""
+    outline = desc.json_outline()
+    outline["labels"] = iter(desc.labels)
+    pieces: dict = {}
+
+    def encode(lab: FactorLabel, indent: str) -> str:
+        head, middle, tail = _stratum_pieces(pieces, lab, _json_label_pieces)
+        chars = ",\n        ".join(
+            [f"[\n          {x.p},\n          {x.q}\n        ]" for x in lab.character])
+        chars = f"[\n        {chars}\n      ]" if chars else "[]"
+        level = "" if lab.first_level is None else f',\n      "first_level": {lab.first_level}'
+        return f"{head}{chars}{middle}{level}{tail}"
+
+    return _json_chunks(outline, encode)
+
+
+def _json_label_pieces(lab: FactorLabel) -> tuple[str, str, str]:
+    # The text of _encode(lab.to_json(), "    ") before "char"'s value,
+    # between it and "first_level", and after that.
+    obj = lab.to_json()
+    head = '{\n      "stratum": ' + _encode(obj["stratum"], "      ") + ',\n      "char": '
+    middle = (',\n      "provenance": ' + _encode_str(obj["provenance"])
+              + ',\n      "zero": ' + _encode(obj["zero"], "      "))
+    tail = "\n    }"
+    if "normalized" in obj:
+        tail = ',\n      "normalized": ' + _encode(obj["normalized"], "      ") + tail
+    return head, middle, tail
+
+
+def _stratum_pieces(cache: dict, lab: FactorLabel, make: Callable[[FactorLabel], object]):
+    # What make renders of the fields a label shares with the other labels
+    # of its stratum, rendered once.
+    key = (lab.stratum, lab.provenance, lab.zero, lab.normalized)
+    pieces = cache.get(key)
+    if pieces is None:
+        pieces = cache[key] = make(lab)
+    return pieces
+
+
+def _psod_text(desc: PsodDescriptor) -> str:
     from logsod.complexes import in_component_order
 
-    names = {}
+    def stratum_text(lab: FactorLabel) -> str:
+        name = "X" if not lab.stratum else "{" + ",".join(
+            str(x) for x in in_component_order(desc.components, lab.stratum)) + "}"
+        return f"  on {name}" + ("  [zero]" if lab.zero else "")
+
+    pieces: dict = {}
     lines = [
         f"order: {desc.order}; level: {_vec(desc.level)}"
         + (f"; truncation: {desc.truncation}" if desc.truncation else "")
     ]
     for i, lab in enumerate(desc.labels, start=1):
-        stratum = names.get(lab.stratum)
-        if stratum is None:
-            stratum = names[lab.stratum] = "X" if not lab.stratum else "{" + ",".join(
-                str(x) for x in in_component_order(desc.components, lab.stratum)) + "}"
-        extra = ""
-        if lab.zero:
-            extra += "  [zero]"
-        if lab.first_level is not None:
-            extra += f"  [level {lab.first_level}]"
-        lines.append(f"{i:>4}. {_vec(lab.character)}  on {stratum}{extra}")
+        chars = ", ".join([f"-{x.p}/{x.q}" if x.p else "0" for x in lab.character])
+        level = "" if lab.first_level is None else f"  [level {lab.first_level}]"
+        lines.append(f"{i:>4}. ({chars}){_stratum_pieces(pieces, lab, stratum_text)}{level}")
     return "\n".join(lines)
 
 
@@ -398,7 +475,7 @@ def cmd_decompose(args) -> int:
         report = decompose_simplicial_complexified(chart, fixed, v, level)
     else:
         raise ParseError("decompose command needs an snc, nc, or chart scene")
-    _emit(args, report.to_json, report.to_text)
+    _emit(args, lambda: _json_chunks(report.to_json()), report.to_text)
     return EXIT_OK
 
 
@@ -423,7 +500,7 @@ def cmd_strictify(args) -> int:
         lines.append(f"strata: {len(snc.strata(proper=True))}")
         return "\n".join(lines)
 
-    _emit(args, lambda: {"complex": snc.to_json(), "log": log.to_json()}, text)
+    _emit(args, lambda: _json_chunks({"complex": snc.to_json(), "log": log.to_json()}), text)
     return EXIT_OK
 
 
@@ -431,7 +508,7 @@ def cmd_selfcheck(args) -> int:
     from logsod.selfcheck import run_selfcheck
 
     report = run_selfcheck(args.exhaustive_level)
-    _emit(args, report.to_json, report.to_text)
+    _emit(args, lambda: _json_chunks(report.to_json()), report.to_text)
     return EXIT_OK if report.passed else EXIT_SELFCHECK
 
 

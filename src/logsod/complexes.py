@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from logsod.errors import (
     InconsistentIncidence,
@@ -23,9 +23,12 @@ from logsod.errors import (
     UnknownStratum,
     UnsupportedConfiguration,
 )
-from logsod.intlinalg import smith_normal_form
-from logsod.monoids import ToricMonoid, _lattice_in_basis, canonical_kummer_extension
 from logsod.orders import _sort_token, _subsets
+
+# The monoid and lattice layers serve the chart functions only, which import
+# them when they run, so snc and nc work loads neither.
+if TYPE_CHECKING:
+    from logsod.monoids import ToricMonoid
 
 __all__ = [
     "BlowupLog",
@@ -494,6 +497,8 @@ def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusD
 
 
 def _single_chart_pair(m: ToricMonoid, prefix: str) -> tuple[SncComplex, FixedLocusData]:
+    from logsod.monoids import canonical_kummer_extension
+
     ext = canonical_kummer_extension(m)
     rays = ext.rays
     labels = tuple(f"{prefix}{j}" for j in range(1, len(rays) + 1))
@@ -524,6 +529,9 @@ def _quotient_weights(m: ToricMonoid, ext) -> tuple[tuple[int, ...], tuple[tuple
     # Lattice basis vectors in root-basis coordinates form the columns; the
     # left Smith transform then carries each coordinate direction to its
     # class in the diagonalized quotient.
+    from logsod.intlinalg import smith_normal_form
+    from logsod.monoids import _lattice_in_basis
+
     n = len(ext.target_basis)
     mat = [list(col) for col in zip(*_lattice_in_basis(m, ext.target_basis))]
     u, d, _ = smith_normal_form(mat)

@@ -14,8 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Optional, Sequence
 
 from logsod.errors import LengthMismatch
@@ -190,7 +189,6 @@ def cmp_factorial_scalar(x: Character, y: Character) -> Rel:
     return Rel.EQ
 
 
-@lru_cache(maxsize=None)
 def factorial_scalar_key(x: Character) -> tuple:
     """Injective sort key equivalent to cmp_factorial_scalar.
 
@@ -424,14 +422,22 @@ def enumerate_characters(
     support: Iterable[int],
     star: bool = False,
     prime_to: Optional[int] = None,
-) -> list[CharVector]:
-    """Character vectors over Z_{r_1} x ... x Z_{r_k} supported in a subset.
+) -> list[tuple[CharVector, int]]:
+    """Character vectors over Z_{r_1} x ... x Z_{r_k} supported in a subset,
+    each with its first level.
 
     Components are numbered 1..k.  Coordinates inside `support` range over
     Z_{r_j} (or Z_{r_j} minus zero when star=True); the rest are zero.  With
     prime_to=p only vectors whose reduced denominators are all coprime to p
-    are kept.  Output is sorted by factorial_vector_key, so it lists deeper
-    characters first, compatibly with the factorial order.
+    are kept.  Returns (vector, vector_first_level(vector)) pairs in the
+    order of factorial_vector_key, so deeper characters come first,
+    compatibly with the factorial order.
+
+    Each axis is put in factorial order once (_factorial_axis), and the
+    vectors of each first level L, deepest first, are the product of the
+    axes cut to first level <= L, less those with no coordinate at level L.
+    An axis lists its characters by descending first level, so the cut is
+    a suffix of the axis and its level-L characters a prefix of the cut.
     """
     orders = [int(r) for r in orders]
     if any(r < 1 for r in orders):
@@ -443,24 +449,77 @@ def enumerate_characters(
         raise ValueError(f"prime_to must be prime, got {prime_to}")
 
     zero = Character.zero()
-    axes: list[list[Character]] = []
-    for j in chosen:
-        r = orders[j - 1]
-        col = []
-        for k in range(r - 1, 0 if star else -1, -1):
-            g = math.gcd(k, r)
-            if prime_to is None or r // g % prime_to:
-                col.append(Character(k // g, r // g))
-        axes.append(col)
-
-    out: list[CharVector] = []
-    for combo in product(*axes):
-        vec = [zero] * len(orders)
-        for j, c in zip(chosen, combo):
-            vec[j - 1] = c
-        out.append(tuple(vec))
-    out.sort(key=factorial_vector_key)
+    if not chosen:
+        return [((zero,) * len(orders), 1)]
+    axes = [
+        [(c, n) for c, n in _factorial_axis(orders[j - 1])
+         if not (star and c.p == 0) and (prime_to is None or c.q % prime_to)]
+        for j in chosen
+    ]
+    out: list[tuple[CharVector, int]] = []
+    for level in sorted({n for axis in axes for _, n in axis}, reverse=True):
+        cut = [[c for c, n in axis if n <= level] for axis in axes]
+        tops = [[c for c, n in axis if n == level] for axis in axes]
+        # Built from the last axis back: a vector has a level-L coordinate
+        # in the first axis (then any rest) or after it.
+        exact = [(c,) for c in tops[-1]]
+        for j in range(len(axes) - 2, -1, -1):
+            exact = [
+                *product(tops[j], *cut[j + 1:]),
+                *((c, *rest) for c in cut[j][len(tops[j]):] for rest in exact),
+            ]
+        out += zip(exact, repeat(level))
+    if len(chosen) < len(orders):
+        out = [(_place(chi, chosen, len(orders), zero), n) for chi, n in out]
     return out
+
+
+def _place(coords: CharVector, chosen: list[int], k: int, zero: Character) -> CharVector:
+    vec = [zero] * k
+    for j, c in zip(chosen, coords):
+        vec[j - 1] = c
+    return tuple(vec)
+
+
+def _factorial_axis(r: int) -> list[tuple[Character, int]]:
+    """Z_r in the factorial order, each character with its first level.
+
+    Z_r is the multiples of s = n!/r in Z_{n!}, n the first level of 1/r.
+    factorial_scalar_key reads a character -M/n! by the digits d_m of M in
+    the factorial number system, taken by divmod from radix m = n down to
+    2, and sorts them lexicographically, each digit ranked
+    m-1 < ... < 1 < 0.  So the axis is built one radix at a time, splitting
+    every run of characters that share the digits above m by d_m, in that
+    rank order.  What such a run leaves of M once those digits are removed
+    is an arithmetic progression A + S*t modulo m!, with one step S for all
+    runs at radix m; the split keeps the residues d = A + S*t mod m.  A run
+    with S = m! is a single character.
+    """
+    n, f = _tower_level(r)
+    runs = [(0, 0, 0)]  # (A, the digits taken as an integer, first level or 0)
+    step, place, fact_m = f // r, 1, f
+    for m in range(n, 0, -1):
+        if step == fact_m:
+            break
+        g = math.gcd(step, m)
+        period = m // g
+        inv = pow(step // g, -1, period)
+        split = []
+        for a, taken, level in runs:
+            for d in range(m - 1 - (m - 1 - a) % g, -1, -g):
+                rest = (a + step * ((d - a) // g * inv % period)) % fact_m
+                split.append(((rest - d) // m, taken + place * d, level or (m if d else 0)))
+        runs = split
+        step //= g
+        place *= m
+        fact_m //= m
+    axis = []
+    for a, taken, level in runs:
+        big = taken + place * a
+        g = math.gcd(big, f)
+        c = Character(big // g, f // g)
+        axis.append((c, level or _tower_level(c.q)[0]))
+    return axis
 
 
 def _is_prime(n: int) -> bool:

@@ -32,7 +32,6 @@ from logsod.orders import (
     enumerate_characters,
     factorial_vector_key,
     Rel,
-    vector_first_level,
     _sort_token,
 )
 
@@ -119,13 +118,19 @@ class PsodDescriptor:
             raise ValueError(
                 f"{len(self.labels)} labels but the level enumerates {expected}"
             )
-        seen = set()
+        k = len(self.components)
+        supports: dict[tuple[bool, ...], frozenset] = {}  # by nonzero pattern
+        seen: set[CharVector] = set()
         for lab in self.labels:
-            if len(lab.character) != len(self.components):
+            chi = lab.character
+            if len(chi) != k:
                 raise ValueError("character length must match the components")
-            support = frozenset(
-                c for c, x in zip(self.components, lab.character) if not x.is_zero()
-            )
+            on = tuple([x.p != 0 for x in chi])
+            support = supports.get(on)
+            if support is None:
+                support = supports[on] = frozenset(
+                    c for c, nonzero in zip(self.components, on) if nonzero
+                )
             if support != lab.stratum:
                 raise ValueError(f"stratum {sorted(lab.stratum, key=_sort_token)} "
                                  "does not match the character support")
@@ -133,12 +138,13 @@ class PsodDescriptor:
                 raise ValueError("base labels are exactly the zero-character ones")
             if lab.provenance not in (BASE, GERBE):
                 raise ValueError(f"unknown provenance {lab.provenance!r}")
-            for x, r in zip(lab.character, self.level):
+            for x, r in zip(chi, self.level):
                 if r % x.q:
                     raise ValueError(f"character {x} does not live at level {r}")
-            if lab.character in seen:
+            distinct = len(seen)
+            seen.add(chi)
+            if len(seen) == distinct:
                 raise ValueError("labels must be pairwise distinct")
-            seen.add(lab.character)
         if self.truncation is not None:
             fact = math.factorial(self.truncation)
             if any(r != fact for r in self.level):
@@ -172,10 +178,10 @@ class PsodDescriptor:
         return out
 
 
-def _standard_key(chi: CharVector) -> tuple[Fraction, ...]:
+def _standard_key(pair: tuple[CharVector, int]) -> tuple[Fraction, ...]:
     # Lexicographic by coordinate value: a deterministic linear extension of
     # the componentwise standard order.
-    return tuple(c.value for c in chi)
+    return tuple(c.value for c in pair[0])
 
 
 def _descriptor(
@@ -202,8 +208,8 @@ def _descriptor(
         chars.sort(key=_standard_key)
     strata: dict[tuple[bool, ...], tuple] = {}
     labels = []
-    for chi in chars:
-        on = tuple(not x.is_zero() for x in chi)
+    for chi, first in chars:
+        on = tuple([x.p != 0 for x in chi])
         stratum = strata.get(on)
         if stratum is None:
             support = frozenset(c for c, x in zip(cx.components, on) if x)
@@ -220,10 +226,11 @@ def _descriptor(
                 character=chi,
                 provenance=provenance,
                 zero=zero,
-                first_level=None if truncation is None else vector_first_level(chi),
+                first_level=None if truncation is None else first,
                 normalized=normalized,
             )
         )
+    del chars  # not held while the descriptor validates the labels
     return PsodDescriptor(
         components=cx.components,
         labels=tuple(labels),
@@ -269,7 +276,7 @@ def bls_divergence(n: int) -> dict:
     one_step = psod_bls(math.factorial(n))
     flagged = tuple(
         chi[0]
-        for chi in enumerate_characters([math.factorial(n - 1)], {1}, star=True)
+        for chi, _ in enumerate_characters([math.factorial(n - 1)], {1}, star=True)
     ) if n >= 2 else ()
     return {
         "level": n,
@@ -319,9 +326,10 @@ def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
 
 
 # Most labels a descriptor builds.  A `logsod psod` process peaks at about
-# 0.9 KB a label (one divisor at level 9: 362,880 labels, 328 MB), of which
-# the descriptor holds about 280 B and factorial_scalar_key's cache about
-# 275 B; embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP.
+# 0.46 KB a label (one divisor at level 9: 362,880 labels, 168 MB), of which
+# the descriptor holds about 250 B and enumerate_characters' list of
+# (character, first level) pairs, freed before validation, about 64 B;
+# embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP.
 LABEL_CAP = 600_000
 FULL_CHECK_CAP = 40_000
 SUBLEVEL_CHECK_CAP = 600_000
@@ -383,6 +391,8 @@ def embedding_check(
         for chi in seq:
             if any(fact % c.q for c in chi):
                 fail("missing-label", chi)
+        # The descriptor's order comes from enumerate_characters, which
+        # computes no keys, so this is an independent check of it.
         keys = [factorial_vector_key(chi) for chi in seq]
         if keys != sorted(keys):
             bad = next(i for i in range(len(keys) - 1) if keys[i] > keys[i + 1])
@@ -407,7 +417,7 @@ def embedding_check(
     # Componentwise the sublevel chain is contained in the level chain, so
     # label inclusion holds; sample vector pairs for order consistency.
     fact_small = math.factorial(n - 1)
-    axis = [chi[0] for chi in enumerate_characters([fact_small], {1})]
+    axis = [chi[0] for chi, _ in enumerate_characters([fact_small], {1})]
     picks = []
     idx = 0
     while len(picks) < 400:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from first principles, without
 importing the production kernel, so that each check compares two unrelated
-routes to the same answer.  The saturation oracle is the one exception: it
+routes to the same answer.  There are two exceptions.  The saturation oracle
 decides cone membership with one exact LP per box point, through the
 production `nonneg_combination` and `contains`, which the facet-normal route
-under test does not use.
+under test does not use.  The enumeration oracle sorts by the production
+`factorial_vector_key`, which `enumerate_characters` does not use.
 """
 
 from __future__ import annotations
@@ -265,6 +266,33 @@ def _tuples(n: int, m: int):
     for rest in _tuples(n - 1, m):
         for a in range(m):
             yield (a,) + rest
+
+def enumerate_characters_by_key(orders, support, star=False, prime_to=None) -> list[tuple]:
+    """The character vectors of enumerate_characters, built coordinate by
+    coordinate and sorted by factorial_vector_key: one key per vector and a
+    sort over all of them."""
+    from logsod.orders import Character, factorial_vector_key
+
+    zero = Character.zero()
+    chosen = sorted(set(support))
+    axes = []
+    for j in chosen:
+        r = orders[j - 1]
+        col = []
+        for k in range(r - 1, 0 if star else -1, -1):
+            g = math.gcd(k, r)
+            if prime_to is None or r // g % prime_to:
+                col.append(Character(k // g, r // g))
+        axes.append(col)
+    out = []
+    for combo in product(*axes):
+        vec = [zero] * len(orders)
+        for j, c in zip(chosen, combo):
+            vec[j - 1] = c
+        out.append(tuple(vec))
+    out.sort(key=factorial_vector_key)
+    return out
+
 
 def root_stack_line_twists(r: int) -> list[str]:
     """Exceptional collection of line-bundle twists on the r-th root stack

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -19,9 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logsod.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFCHECK, _json_chunks, main
-from logsod.complexes import snc_from_divisors
-from logsod.orders import factorial_scalar_key
-from logsod.psod import psod_infinite, psod_snc
+from logsod.complexes import nc_from_json, snc_from_divisors
+from logsod.psod import psod_infinite, psod_nc, psod_snc
 from logsod.selfcheck import CheckResult, SelfcheckReport
 from scenes import scenes
 
@@ -390,6 +390,45 @@ def assert_same_text(got: str, want: str) -> None:
         pytest.fail(f"outputs differ at offset {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
 
 
+_NAMES = st.one_of(
+    st.sampled_from(['"labels": []', 'say "hi"', "back\\slash", "Dé", "Ω\u00a0✓", "\n\t"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def snc_psod_calls(draw):
+    """An snc scene with awkward labels, psod arguments for it (a tower
+    stage, or per-component orders in the standard order) and the
+    descriptor those arguments name."""
+    components = draw(st.lists(st.one_of(_NAMES, st.integers(-3, 12)), min_size=1, max_size=3, unique=True))
+    strata = [[c for c in components if draw(st.booleans())] for _ in range(3)]
+    scene = {"kind": "snc", "components": components, "nonempty": strata}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = snc_from_divisors(components, strata)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        return scene, ["--level", str(n)], psod_infinite(cx, n)
+    level = [draw(st.integers(1, 3)) for _ in components]
+    argv = ["--level", ",".join(map(str, level)), "--order", "standard"]
+    return scene, argv, psod_snc(cx, level, order="standard")
+
+
+@st.composite
+def nc_psod_calls(draw):
+    """The nodal or two-node scene with awkward component and crossing
+    names, a tower stage and its psod_nc descriptor."""
+    names = draw(st.lists(_NAMES.filter(bool), min_size=3, max_size=3, unique=True))
+    c, n1, n2 = names
+    crossings = [{"name": n1, "branches": [[c, 1], [c, 2]]}]
+    if draw(st.booleans()):
+        crossings.append({"name": n2, "branches": [[c, 3], [c, 4]]})
+    scene = {"kind": "nc", "components": [c], "crossings": crossings, "ambient_dim": 2}
+    stage = draw(st.integers(1, 3))
+    return scene, ["--level", str(stage)], psod_nc(nc_from_json(scene), stage)
+
+
 class TestStreamedJson:
     """psod JSON is written one label at a time; its bytes are those of
     json.dumps over the whole descriptor."""
@@ -407,30 +446,9 @@ class TestStreamedJson:
         return code, out.getvalue(), err.getvalue()
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(['"labels": []', 'say "hi"', "back\\slash", "Dé", "Ω\u00a0✓", "\n\t"]),
-                st.text(max_size=4),
-                st.integers(-3, 12),
-            ),
-            min_size=1, max_size=3, unique=True,
-        ),
-        st.data(),
-    )
-    def test_snc_bytes_equal_whole_document(self, components, data):
-        strata = [[c for c in components if data.draw(st.booleans())] for _ in range(3)]
-        scene = {"kind": "snc", "components": components, "nonempty": strata}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cx = snc_from_divisors(components, strata)
-        if data.draw(st.booleans()):
-            n = data.draw(st.integers(1, 3))
-            argv, desc = ["--level", str(n)], psod_infinite(cx, n)
-        else:
-            level = [data.draw(st.integers(1, 3)) for _ in components]
-            argv = ["--level", ",".join(map(str, level)), "--order", "standard"]
-            desc = psod_snc(cx, level, order="standard")
+    @given(snc_psod_calls())
+    def test_snc_bytes_equal_whole_document(self, call):
+        scene, argv, desc = call
         code, out, _ = self.run_stdin(scene, ["psod", "-", *argv])
         assert code == EXIT_OK
         assert_same_text(out, self.expected(desc))
@@ -446,6 +464,26 @@ class TestStreamedJson:
         code, out, _ = run_cli(capsys, ["psod", write_scene(tmp_path, scene), "--level", "3"])
         assert code == EXIT_OK
         assert_same_text(out, self.expected(_psod_descriptor(scene, 3, "factorial")))
+
+    @settings(max_examples=30, deadline=None)
+    @given(nc_psod_calls())
+    def test_nc_normalized_bytes_equal_whole_document(self, call):
+        scene, argv, desc = call
+        assert any(lab.normalized for lab in desc.labels)
+        code, out, _ = self.run_stdin(scene, ["psod", "-", *argv])
+        assert code == EXIT_OK
+        assert_same_text(out, self.expected(desc))
+
+    def test_no_components_and_no_labels(self):
+        from logsod.cli import _psod_json
+
+        desc = psod_infinite(snc_from_divisors((), [[]]), 2)
+        assert '"char": []' in "".join(_psod_json(desc))
+        assert_same_text("".join(_psod_json(desc)) + "\n", self.expected(desc))
+        # No valid descriptor is empty; the writer still handles one.
+        object.__setattr__(desc, "labels", ())
+        assert '"labels": []' in "".join(_psod_json(desc))
+        assert_same_text("".join(_psod_json(desc)) + "\n", self.expected(desc))
 
     _values = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -467,6 +505,34 @@ class TestStreamedJson:
         assert_same_text("".join(_json_chunks(payload)), json.dumps(whole, indent=2, ensure_ascii=False))
 
 
+def text_by_label(desc) -> str:
+    """psod's text rendering, one label at a time through str(Character):
+    the reference for the writer's per-stratum pieces."""
+    from logsod.complexes import in_component_order
+
+    lines = [f"order: {desc.order}; level: ({', '.join(map(str, desc.level))})"
+             + (f"; truncation: {desc.truncation}" if desc.truncation else "")]
+    for i, lab in enumerate(desc.labels, start=1):
+        stratum = "X" if not lab.stratum else "{" + ",".join(
+            str(x) for x in in_component_order(desc.components, lab.stratum)) + "}"
+        extra = "  [zero]" if lab.zero else ""
+        if lab.first_level is not None:
+            extra += f"  [level {lab.first_level}]"
+        chars = "(" + ", ".join(str(x) for x in lab.character) + ")"
+        lines.append(f"{i:>4}. {chars}  on {stratum}{extra}")
+    return "\n".join(lines)
+
+
+class TestPsodText:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(snc_psod_calls(), nc_psod_calls()))
+    def test_text_is_the_per_label_rendering(self, call):
+        scene, argv, desc = call
+        code, out, _ = TestStreamedJson.run_stdin(scene, ["psod", "-", *argv, "--format", "text"])
+        assert code == EXIT_OK
+        assert_same_text(out, text_by_label(desc) + "\n")
+
+
 class _Discard(io.TextIOBase):
     def write(self, s: str) -> int:
         return len(s)
@@ -479,16 +545,12 @@ def test_psod_json_peak_memory_is_near_the_descriptor(tmp_path):
     with redirect_stdout(_Discard()):
         assert main(["psod", scene, "--level", "2"]) == EXIT_OK  # loads the schema
     cx = snc_from_divisors(("D",), [[], ["D"]])
-    # factorial_scalar_key caches one key per character, so both
-    # measurements start from an empty cache and count it alike.
     tracemalloc.start()
     try:
-        factorial_scalar_key.cache_clear()
         base = tracemalloc.get_traced_memory()[0]
         desc = psod_infinite(cx, 7)
         retained = tracemalloc.get_traced_memory()[0] - base
         del desc
-        factorial_scalar_key.cache_clear()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         with redirect_stdout(_Discard()):
@@ -643,6 +705,42 @@ class TestInputHandling:
         assert out == "" and err.startswith("error: ")
         assert not out_path.exists()
 
+    @staticmethod
+    def stdout_env(buffered: bool) -> dict:
+        # Buffered, what stdout still holds after a failed write would fail
+        # again at exit; unbuffered, each write reaches the OS at once.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_closed_stdout_pipe_exits_2(self, tmp_path, fmt, buffered):
+        # The reader stops after 10 bytes of a 1 MB document.
+        scene = write_scene(tmp_path, LINE_SCENE)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logsod.cli", "psod", scene, "--level", "7", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.stdout_env(buffered),
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_PARSE
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("fmt, level", [("json", "2"), ("json", "7"), ("text", "2")])
+    def test_full_stdout_exits_2(self, tmp_path, fmt, level, buffered):
+        scene = write_scene(tmp_path, LINE_SCENE)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "logsod.cli", "psod", scene, "--level", level, "--format", fmt],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=self.stdout_env(buffered),
+            )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
@@ -701,10 +799,12 @@ code = main(sys.argv[1:])
 mods = [m for m in sys.modules if m == "jsonschema" or m.startswith("logsod.")]
 print(json.dumps([code, sorted(mods)]))
 """
-_CORE = {"logsod.cli", "logsod.errors", "logsod.monoids", "logsod.orders", "logsod.intlinalg"}
-_MONOID = _CORE | {"logsod.schemacheck"}
-_COMPLEX = _MONOID | {"logsod.complexes"}
-_SELFCHECK = _CORE | {"logsod.complexes", "logsod.psod", "logsod.decompose", "logsod.selfcheck"}
+_CORE = {"logsod.cli", "logsod.errors", "logsod.orders"}
+_LATTICE = {"logsod.monoids", "logsod.intlinalg"}
+_MONOID = _CORE | _LATTICE | {"logsod.schemacheck"}
+# snc and nc scenes need neither the monoid nor the lattice layer; charts do.
+_COMPLEX = _CORE | {"logsod.schemacheck", "logsod.complexes"}
+_SELFCHECK = _CORE | _LATTICE | {"logsod.complexes", "logsod.psod", "logsod.decompose", "logsod.selfcheck"}
 
 
 class TestStartupImports:
@@ -714,9 +814,10 @@ class TestStartupImports:
         (["psod", "--level", "2"], P2_SCENE, _COMPLEX | {"logsod.psod"}),
         (["decompose", "--level", "2"], P2_SCENE, _COMPLEX | {"logsod.decompose"}),
         (["decompose", "--level", "2"], NODAL_SCENE, _COMPLEX | {"logsod.decompose"}),
-        (["decompose", "--level", "2"], CHART_SCENE, _COMPLEX | {"logsod.decompose"}),
+        (["decompose", "--level", "2"], CHART_SCENE, _COMPLEX | _LATTICE | {"logsod.decompose"}),
         (["strictify"], NODAL_SCENE, _COMPLEX),
         (["selfcheck", "--exhaustive-level", "1"], None, _SELFCHECK),
+        (["psod", "--level", "2"], CHART_SCENE, _COMPLEX | _LATTICE | {"logsod.psod"}),
     ])
     def test_valid_scene_loads_only_its_command(self, tmp_path, argv, scene, expect):
         args = argv[:1] + ([write_scene(tmp_path, scene)] if scene else []) + argv[1:]

@@ -29,7 +29,7 @@ from logsod.orders import (
     support_partition,
     vector_first_level,
 )
-from oracles import cmp_factorial_recursive, interleaving_chain, mod1
+from oracles import cmp_factorial_recursive, enumerate_characters_by_key, interleaving_chain, mod1
 
 C = Character.of
 F = Fraction
@@ -382,16 +382,16 @@ def _random_preorder(rng, prefix):
 class TestEnumerate:
     def test_single_support_star(self):
         got = enumerate_characters([2, 3], {2}, star=True)
-        assert [[c.value for c in v] for v in got] == [
+        assert [[c.value for c in v] for v, _ in got] == [
             [0, F(-1, 3)], [0, F(-2, 3)],
         ]
 
     def test_empty_support(self):
         assert enumerate_characters([2, 3], set()) == [
-            (Character.zero(), Character.zero())
+            ((Character.zero(), Character.zero()), 1)
         ]
         assert enumerate_characters([2, 3], set(), star=True) == [
-            (Character.zero(), Character.zero())
+            ((Character.zero(), Character.zero()), 1)
         ]
 
     def test_prime_filter_kills_level4(self):
@@ -399,15 +399,16 @@ class TestEnumerate:
 
     def test_full_z4_in_factorial_order(self):
         got = enumerate_characters([4], {1})
-        assert [v[0].value for v in got] == [F(-3, 4), F(-1, 4), F(-1, 2), F(0)]
+        assert [v[0].value for v, _ in got] == [F(-3, 4), F(-1, 4), F(-1, 2), F(0)]
+        assert [n for _, n in got] == [4, 4, 2, 1]
 
     def test_diagonal_pair(self):
         got = enumerate_characters([2, 2], {1, 2}, star=True)
-        assert [[c.value for c in v] for v in got] == [[F(-1, 2), F(-1, 2)]]
+        assert [[c.value for c in v] for v, _ in got] == [[F(-1, 2), F(-1, 2)]]
 
     def test_output_sorted_and_injective(self):
         got = enumerate_characters([4, 3], {1, 2})
-        keys = [factorial_vector_key(v) for v in got]
+        keys = [factorial_vector_key(v) for v, _ in got]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         assert len(got) == 12
@@ -433,7 +434,7 @@ class TestEnumerate:
         orders = [2, 3, 2]
         full = enumerate_characters(orders, {1, 2, 3})
         buckets: dict[frozenset, int] = {}
-        for v in full:
+        for v, _ in full:
             sup = support_partition(v)
             buckets[sup] = buckets.get(sup, 0) + 1
         for mask in range(1 << 3):
@@ -449,7 +450,7 @@ class TestEnumerate:
                     coprime_part //= p
                 got = enumerate_characters([r], {1}, star=True, prime_to=p)
                 assert len(got) == coprime_part - 1
-                assert all(v[0].q % p != 0 for v in got)
+                assert all(v[0].q % p != 0 for v, _ in got)
 
     def test_prime_filter_monotone(self):
         for r in range(2, 13):
@@ -472,7 +473,27 @@ class TestEnumerate:
             if not (star and c.is_zero()) and (prime_to is None or c.q % prime_to)
         ]
         want.sort(key=factorial_vector_key)
-        assert enumerate_characters([r], {1}, star=star, prime_to=prime_to) == want
+        got = enumerate_characters([r], {1}, star=star, prime_to=prime_to)
+        assert [v for v, _ in got] == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_generated_order_is_the_key_sort(self, data):
+        # Orders 1..720 and the factorials to 7!, on 1-3 components, with
+        # at most 6,000 vectors so that the oracle's sort stays quick.
+        orders = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            cap = 6000 // math.prod(orders)
+            orders.append(data.draw(st.one_of(
+                st.integers(1, min(720, cap)),
+                st.sampled_from([f for f in map(math.factorial, range(1, 8)) if f <= cap]),
+            )))
+        support = data.draw(st.sets(st.integers(1, len(orders))))
+        star = data.draw(st.booleans())
+        prime_to = data.draw(st.sampled_from([None, 2, 3, 5, 7]))
+        got = enumerate_characters(orders, support, star=star, prime_to=prime_to)
+        assert [v for v, _ in got] == enumerate_characters_by_key(orders, support, star, prime_to)
+        assert [n for _, n in got] == [vector_first_level(v) for v, _ in got]
 
     def test_validation(self):
         with pytest.raises(ValueError):
