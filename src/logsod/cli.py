@@ -376,11 +376,12 @@ def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
     """The JSON of desc.to_json(), each label written from the pieces of
     its stratum (see _stratum_pieces) and its characters' integers."""
     outline = desc.json_outline()
-    outline["labels"] = iter(desc.labels)
+    outline["labels"] = desc.iter_labels()
     pieces: dict = {}
+    label_pieces = functools.partial(_json_label_pieces, desc.components)
 
     def encode(lab: FactorLabel, indent: str) -> str:
-        head, middle, tail = _stratum_pieces(pieces, lab, _json_label_pieces)
+        head, middle, tail = _stratum_pieces(pieces, lab, label_pieces)
         chars = ",\n        ".join(
             [f"[\n          {x.p},\n          {x.q}\n        ]" for x in lab.character])
         chars = f"[\n        {chars}\n      ]" if chars else "[]"
@@ -390,10 +391,10 @@ def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
     return _json_chunks(outline, encode)
 
 
-def _json_label_pieces(lab: FactorLabel) -> tuple[str, str, str]:
-    # The text of _encode(lab.to_json(), "    ") before "char"'s value,
-    # between it and "first_level", and after that.
-    obj = lab.to_json()
+def _json_label_pieces(components: tuple, lab: FactorLabel) -> tuple[str, str, str]:
+    # The text of _encode(lab.to_json(components), "    ") before "char"'s
+    # value, between it and "first_level", and after that.
+    obj = lab.to_json(components)
     head = '{\n      "stratum": ' + _encode(obj["stratum"], "      ") + ',\n      "char": '
     middle = (',\n      "provenance": ' + _encode_str(obj["provenance"])
               + ',\n      "zero": ' + _encode(obj["zero"], "      "))
@@ -426,7 +427,7 @@ def _psod_text(desc: PsodDescriptor) -> str:
         f"order: {desc.order}; level: {_vec(desc.level)}"
         + (f"; truncation: {desc.truncation}" if desc.truncation else "")
     ]
-    for i, lab in enumerate(desc.labels, start=1):
+    for i, lab in enumerate(desc.iter_labels(), start=1):
         chars = ", ".join([f"-{x.p}/{x.q}" if x.p else "0" for x in lab.character])
         level = "" if lab.first_level is None else f"  [level {lab.first_level}]"
         lines.append(f"{i:>4}. ({chars}){_stratum_pieces(pieces, lab, stratum_text)}{level}")

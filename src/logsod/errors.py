@@ -59,3 +59,7 @@ class TooManyLabels(LogsodError):
 
 class BoxTooLarge(LogsodError, ValueError):
     """A saturation search would scan more generator-box points than the cap."""
+
+
+class TooManyFaces(LogsodError):
+    """A face-lattice search would test more ray subsets than the cap."""

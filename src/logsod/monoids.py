@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Sequence
 
-from logsod.errors import BoxTooLarge, NotSharp, NotSimplicial, ParseError, ZeroMonoid
+from logsod.errors import BoxTooLarge, NotSharp, NotSimplicial, ParseError, TooManyFaces, ZeroMonoid
 from logsod.intlinalg import (
     hermite_row_basis,
     in_row_span,
@@ -412,15 +412,26 @@ def _lattice_in_basis(
     return rows
 
 
+# Most subsets of extremal rays face_strata tests, one LP each: 2^10, the
+# subsets of 10 rays, take about 3 s on a 2-vCPU machine.
+FACE_SUBSET_CAP = 1 << 10
+
+
 def face_strata(m: ToricMonoid) -> Preorder:
     """Face lattice of the cone: every subset of extremal rays cut out by a
     supporting hyperplane, as a preorder under inclusion.
 
     Elements are faces given as lex-sorted tuples of primitive ray
     generators, listed by increasing dimension; the zero face is the empty
-    tuple and the full cone is the tuple of all rays.
+    tuple and the full cone is the tuple of all rays.  Raises TooManyFaces
+    when the rays have more than FACE_SUBSET_CAP subsets.
     """
     rays = extremal_rays(m)
+    if 2 ** len(rays) > FACE_SUBSET_CAP:
+        raise TooManyFaces(
+            f"a cone with {len(rays)} extremal rays has {2 ** len(rays)} ray "
+            f"subsets to test for faces, more than the {FACE_SUBSET_CAP} allowed"
+        )
     faces = [tuple(rays)]
     for k in range(len(rays)):
         for sub in combinations(rays, k):

@@ -168,29 +168,16 @@ def cmp_standard(x: Character, y: Character) -> Rel:
 
 def cmp_factorial_scalar(x: Character, y: Character) -> Rel:
     """Total order on each Z_{n!}: deeper first appearance sorts earlier,
-    then fiber position, then the remainder one level down.
-
-    Both characters are written over a common n! as -N/n! and N is read in
-    the factorial number system (Knuth, TAOCP Vol. 2, 4.1): the digit d_m at
-    radix m, for m = n, n-1, ..., 2, puts the character in fiber -d_m/m at
-    level m, and a zero digit is a drop in first level.  The digits are
-    walked in step from the top: at the first place they differ, a larger
-    digit sorts earlier, and a nonzero digit sorts before a zero one.
-    """
-    n, f = _tower_level(math.lcm(x.q, y.q))
-    nx, ny = x.p * (f // x.q), y.p * (f // y.q)
-    for m in range(n, 1, -1):
-        nx, dx = divmod(nx, m)
-        ny, dy = divmod(ny, m)
-        if dx != dy:
-            if dx and dy:
-                return Rel.LT if dx > dy else Rel.GT
-            return Rel.LT if dx else Rel.GT
-    return Rel.EQ
+    then fiber position, then the remainder one level down.  It is the
+    order of factorial_scalar_key."""
+    a, b = factorial_scalar_key(x), factorial_scalar_key(y)
+    if a == b:
+        return Rel.EQ
+    return Rel.LT if a < b else Rel.GT
 
 
 def factorial_scalar_key(x: Character) -> tuple:
-    """Injective sort key equivalent to cmp_factorial_scalar.
+    """Injective sort key of the factorial order (cmp_factorial_scalar).
 
     Writes x = -N/n! at its first level n and reads N in the factorial
     number system (Knuth, TAOCP Vol. 2, 4.1), taking digits d_m at radix

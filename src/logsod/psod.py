@@ -1,25 +1,26 @@
 """Ordered factor-label descriptors for root stacks of crossings pairs.
 
-A descriptor is pure bookkeeping: an ordered list of (stratum, character)
-labels with provenance, one per character of the level's cyclic product
-group.  Admissibility of the underlying subcategories is not re-proved
-here; the descriptors exist to make label sets, orders, and counting
-identities checkable.
+A descriptor is pure bookkeeping: the parameters of an ordered list of
+(stratum, character) labels with provenance, one per character of the
+level's cyclic product group, and the labels generated from them on demand.
+Admissibility of the underlying subcategories is not re-proved here; the
+descriptors exist to make label sets, orders, and counting identities
+checkable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from logsod.complexes import (
     NcComplex,
     SimplicialChart,
     SncComplex,
     canonical_root_pair,
+    in_component_order,
     normalized_names,
     snc_from_divisors,
     strictify_nc,
@@ -32,7 +33,6 @@ from logsod.orders import (
     enumerate_characters,
     factorial_vector_key,
     Rel,
-    _sort_token,
 )
 
 __all__ = [
@@ -69,12 +69,10 @@ class FactorLabel:
     first_level: Optional[int] = None
     normalized: Optional[tuple[tuple[str, int], ...]] = None
 
-    def key(self) -> tuple[frozenset, CharVector]:
-        return (self.stratum, self.character)
-
-    def to_json(self) -> dict:
+    def to_json(self, components: Sequence) -> dict:
+        """The label's JSON, its stratum listed in the components' order."""
         out = {
-            "stratum": sorted(self.stratum, key=_sort_token),
+            "stratum": in_component_order(components, self.stratum),
             "char": [c.to_pair() for c in self.character],
             "provenance": self.provenance,
             "zero": self.zero,
@@ -88,21 +86,27 @@ class FactorLabel:
 
 @dataclass(frozen=True)
 class PsodDescriptor:
-    """Ordered label family for one level of the root-stack tower.
+    """Ordered label family for one level of the root-stack tower, held as
+    the parameters that determine it.
 
-    labels are listed ascending in the declared order, so the base factor
-    comes last in factorial descriptors.  level gives the per-component
-    cyclic order; truncation is set when the descriptor presents a stage of
-    the infinite tower.  base_breakdown records blow-up factor counts for
-    the base, metadata only.
+    There is one label per character of the level's cyclic product, on the
+    stratum of the character's support, listed ascending in the declared
+    order, so the base factor comes last in factorial descriptors.  level
+    gives the per-component cyclic order; nonempty is the complex's nonempty
+    strata, and a label on any other stratum is flagged zero.  truncation is
+    set when the descriptor presents a stage of the infinite tower, whose
+    labels carry their first level.  names, for an nc pair, maps each
+    nonempty stratum to the normalized strata it lies on.  base_breakdown
+    records blow-up factor counts for the base, metadata only.
     """
 
     components: tuple
-    labels: tuple[FactorLabel, ...]
+    nonempty: frozenset
     order: str
     level: tuple[int, ...]
     truncation: Optional[int] = None
     base_breakdown: Optional[tuple[tuple[str, int], ...]] = None
+    names: Optional[dict] = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if self.order not in ("standard", "factorial"):
@@ -113,49 +117,56 @@ class PsodDescriptor:
             raise ValueError("cyclic orders must be positive")
         if len(set(self.components)) != len(self.components):
             raise ValueError("component labels must be distinct")
-        expected = math.prod(self.level)
-        if len(self.labels) != expected:
-            raise ValueError(
-                f"{len(self.labels)} labels but the level enumerates {expected}"
-            )
-        k = len(self.components)
-        supports: dict[tuple[bool, ...], frozenset] = {}  # by nonzero pattern
-        seen: set[CharVector] = set()
-        for lab in self.labels:
-            chi = lab.character
-            if len(chi) != k:
-                raise ValueError("character length must match the components")
-            on = tuple([x.p != 0 for x in chi])
-            support = supports.get(on)
-            if support is None:
-                support = supports[on] = frozenset(
-                    c for c, nonzero in zip(self.components, on) if nonzero
-                )
-            if support != lab.stratum:
-                raise ValueError(f"stratum {sorted(lab.stratum, key=_sort_token)} "
-                                 "does not match the character support")
-            if (lab.provenance == BASE) != (not support):
-                raise ValueError("base labels are exactly the zero-character ones")
-            if lab.provenance not in (BASE, GERBE):
-                raise ValueError(f"unknown provenance {lab.provenance!r}")
-            for x, r in zip(chi, self.level):
-                if r % x.q:
-                    raise ValueError(f"character {x} does not live at level {r}")
-            distinct = len(seen)
-            seen.add(chi)
-            if len(seen) == distinct:
-                raise ValueError("labels must be pairwise distinct")
         if self.truncation is not None:
             fact = math.factorial(self.truncation)
             if any(r != fact for r in self.level):
                 raise ValueError("truncation descriptors live at diagonal n! level")
+        count = math.prod(self.level)
+        if count > LABEL_CAP:
+            raise TooManyLabels(
+                f"level {list(self.level)} has {count} labels, more than the "
+                f"{LABEL_CAP} a descriptor may build; 'logsod decompose' counts "
+                "them without building them"
+            )
+
+    def characters(self) -> list[tuple[CharVector, int]]:
+        """The labels' characters in order, each with its first level."""
+        chars = enumerate_characters(self.level, range(1, len(self.level) + 1))
+        if self.order == "standard":
+            chars.sort(key=_standard_key)
+        return chars
+
+    def iter_labels(self) -> Iterator[FactorLabel]:
+        """The labels in order, each built when it is asked for.  The labels
+        on one stratum share its frozenset and annotations, computed once."""
+        strata: dict[tuple[bool, ...], tuple] = {}  # by nonzero pattern
+        for chi, first in self.characters():
+            on = tuple([x.p != 0 for x in chi])
+            stratum = strata.get(on)
+            if stratum is None:
+                support = frozenset(c for c, x in zip(self.components, on) if x)
+                stratum = strata[on] = (
+                    support,
+                    BASE if not support else GERBE,
+                    support not in self.nonempty,
+                    None if self.names is None else self.names.get(support),
+                )
+            support, provenance, zero, normalized = stratum
+            yield FactorLabel(
+                support, chi, provenance, zero,
+                None if self.truncation is None else first, normalized,
+            )
+
+    @property
+    def labels(self) -> tuple[FactorLabel, ...]:
+        return tuple(self.iter_labels())
 
     @property
     def zero_factors(self) -> tuple[FactorLabel, ...]:
-        return tuple(lab for lab in self.labels if lab.zero)
+        return tuple(lab for lab in self.iter_labels() if lab.zero)
 
     def base_label(self) -> FactorLabel:
-        return next(lab for lab in self.labels if lab.provenance == BASE)
+        return next(lab for lab in self.iter_labels() if lab.provenance == BASE)
 
     def to_json(self) -> dict:
         out = self.json_outline()
@@ -169,7 +180,7 @@ class PsodDescriptor:
             "components": list(self.components),
             "level": list(self.level),
             "order": self.order,
-            "labels": map(FactorLabel.to_json, self.labels),
+            "labels": (lab.to_json(self.components) for lab in self.iter_labels()),
         }
         if self.truncation is not None:
             out["truncation"] = self.truncation
@@ -184,63 +195,6 @@ def _standard_key(pair: tuple[CharVector, int]) -> tuple[Fraction, ...]:
     return tuple(c.value for c in pair[0])
 
 
-def _descriptor(
-    cx: SncComplex,
-    level: tuple[int, ...],
-    order: str,
-    truncation: Optional[int] = None,
-    names: Optional[Callable] = None,
-    breakdown: Optional[tuple[tuple[str, int], ...]] = None,
-) -> PsodDescriptor:
-    # One label per character of the level, each built with its final
-    # annotations: first_level on tower stages, normalized when names (a
-    # stratum -> normalized names map) is given.  The labels on one stratum
-    # share its frozenset and its annotations, computed once.
-    count = math.prod(level)
-    if count > LABEL_CAP:
-        raise TooManyLabels(
-            f"level {list(level)} has {count} labels, more than the {LABEL_CAP} "
-            "a descriptor may build; 'logsod decompose' counts them without "
-            "building them"
-        )
-    chars = enumerate_characters(level, range(1, len(level) + 1))
-    if order == "standard":
-        chars.sort(key=_standard_key)
-    strata: dict[tuple[bool, ...], tuple] = {}
-    labels = []
-    for chi, first in chars:
-        on = tuple([x.p != 0 for x in chi])
-        stratum = strata.get(on)
-        if stratum is None:
-            support = frozenset(c for c, x in zip(cx.components, on) if x)
-            stratum = strata[on] = (
-                support,
-                BASE if not support else GERBE,
-                not cx.is_nonempty(support),
-                None if names is None else names(support),
-            )
-        support, provenance, zero, normalized = stratum
-        labels.append(
-            FactorLabel(
-                stratum=support,
-                character=chi,
-                provenance=provenance,
-                zero=zero,
-                first_level=None if truncation is None else first,
-                normalized=normalized,
-            )
-        )
-    del chars  # not held while the descriptor validates the labels
-    return PsodDescriptor(
-        components=cx.components,
-        labels=tuple(labels),
-        order=order,
-        level=level,
-        truncation=truncation,
-        base_breakdown=breakdown,
-    )
-
-
 def _single_divisor_complex() -> SncComplex:
     return snc_from_divisors(("D",), [[], ["D"]])
 
@@ -253,7 +207,8 @@ def psod_single(n: int) -> PsodDescriptor:
     """
     if n < 1:
         raise ValueError("level must be a positive integer")
-    return _descriptor(_single_divisor_complex(), (math.factorial(n),), "factorial")
+    cx = _single_divisor_complex()
+    return PsodDescriptor(cx.components, cx.nonempty, "factorial", (math.factorial(n),))
 
 
 def psod_bls(r: int) -> PsodDescriptor:
@@ -261,7 +216,8 @@ def psod_bls(r: int) -> PsodDescriptor:
     one-step chain -(r-1)/r, ..., -1/r, 0."""
     if r < 1:
         raise ValueError("level must be a positive integer")
-    return _descriptor(_single_divisor_complex(), (r,), "standard")
+    cx = _single_divisor_complex()
+    return PsodDescriptor(cx.components, cx.nonempty, "standard", (r,))
 
 
 def bls_divergence(n: int) -> dict:
@@ -272,18 +228,16 @@ def bls_divergence(n: int) -> dict:
     nonzero characters of order dividing (n-1)!) are flagged: at those the
     two constructions name genuinely different subcategories.
     """
-    single = psod_single(n)
-    one_step = psod_bls(math.factorial(n))
+    single = [chi for chi, _ in psod_single(n).characters()]
+    one_step = [chi for chi, _ in psod_bls(math.factorial(n)).characters()]
     flagged = tuple(
         chi[0]
         for chi, _ in enumerate_characters([math.factorial(n - 1)], {1}, star=True)
     ) if n >= 2 else ()
     return {
         "level": n,
-        "labels_match": {l.character for l in single.labels}
-        == {l.character for l in one_step.labels},
-        "order_matches": [l.character for l in single.labels]
-        == [l.character for l in one_step.labels],
+        "labels_match": set(single) == set(one_step),
+        "order_matches": single == one_step,
         "non_identical": flagged,
     }
 
@@ -313,7 +267,7 @@ def psod_snc(cx: SncComplex, level: Iterable[int], order: str = "factorial") -> 
             )
     elif order != "standard":
         raise ValueError(f"unknown order tag {order!r}")
-    return _descriptor(cx, level, order)
+    return PsodDescriptor(cx.components, cx.nonempty, order, level)
 
 
 def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
@@ -322,13 +276,14 @@ def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
     level = (math.factorial(truncation),) * len(cx.components)
-    return _descriptor(cx, level, "factorial", truncation)
+    return PsodDescriptor(cx.components, cx.nonempty, "factorial", level, truncation)
 
 
-# Most labels a descriptor builds.  A `logsod psod` process peaks at about
-# 0.46 KB a label (one divisor at level 9: 362,880 labels, 168 MB), of which
-# the descriptor holds about 250 B and enumerate_characters' list of
-# (character, first level) pairs, freed before validation, about 64 B;
+# Most labels a descriptor generates.  A `logsod psod` process peaks at about
+# 0.40 KB a label (one divisor at level 9: 362,880 labels, 146 MB), set by
+# characters(): its list of (character, first level) pairs, about 260 B a
+# label, and about 80 B more that enumerate_characters holds while building
+# it.  The labels are written one at a time and never held.
 # embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP.
 LABEL_CAP = 600_000
 FULL_CHECK_CAP = 40_000
@@ -367,15 +322,13 @@ def embedding_check(
         report["mode"] = "full"
         big = level_descriptor or psod_infinite(cx, n)
         small = sublevel_descriptor or psod_infinite(cx, n - 1)
-        big_chars = {lab.character for lab in big.labels}
-        small_seq = [lab.character for lab in small.labels]
-        small_set = set(small_seq)
+        big_seq = [chi for chi, _ in big.characters()]
+        small_seq = [chi for chi, _ in small.characters()]
+        big_chars, small_set = set(big_seq), set(small_seq)
         for chi in small_seq:
             if chi not in big_chars:
                 fail("missing-label", chi)
-        restricted = [
-            lab.character for lab in big.labels if lab.character in small_set
-        ]
+        restricted = [chi for chi in big_seq if chi in small_set]
         if restricted != small_seq and report["passed"]:
             for a, b in zip(restricted, small_seq):
                 if a != b:
@@ -387,7 +340,7 @@ def embedding_check(
         report["mode"] = "sublevel"
         small = sublevel_descriptor or psod_infinite(cx, n - 1)
         fact = math.factorial(n)
-        seq = [lab.character for lab in small.labels]
+        seq = [chi for chi, _ in small.characters()]
         for chi in seq:
             if any(fact % c.q for c in chi):
                 fail("missing-label", chi)
@@ -450,9 +403,11 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
     level = (math.factorial(truncation),) * len(snc.components)
-    names = partial(normalized_names, nc, simple, snc)
+    names = {s: normalized_names(nc, simple, snc, s) for s in snc.nonempty}
     breakdown = tuple((step.stratum, step.codim - 1) for step in log.steps)
-    return _descriptor(snc, level, "factorial", truncation, names, breakdown)
+    return PsodDescriptor(
+        snc.components, snc.nonempty, "factorial", level, truncation, breakdown, names
+    )
 
 
 def psod_simplicial(chart: SimplicialChart, truncation: int) -> PsodDescriptor:

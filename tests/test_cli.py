@@ -3,6 +3,7 @@ formats, exit codes, and determinism of emitted JSON."""
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from logsod.complexes import nc_from_json, snc_from_divisors
 from logsod.psod import psod_infinite, psod_nc, psod_snc
 from logsod.selfcheck import CheckResult, SelfcheckReport
 from scenes import scenes
+from test_psod import with_characters
 
 A1_SCENE = {"kind": "monoid", "rank": 2, "generators": [[2, 0], [1, 1], [0, 2]]}
 FREE_SCENE = {"kind": "monoid", "rank": 2, "generators": [[1, 0], [0, 1]]}
@@ -481,7 +483,7 @@ class TestStreamedJson:
         assert '"char": []' in "".join(_psod_json(desc))
         assert_same_text("".join(_psod_json(desc)) + "\n", self.expected(desc))
         # No valid descriptor is empty; the writer still handles one.
-        object.__setattr__(desc, "labels", ())
+        desc = with_characters(desc, [])
         assert '"labels": []' in "".join(_psod_json(desc))
         assert_same_text("".join(_psod_json(desc)) + "\n", self.expected(desc))
 
@@ -539,18 +541,23 @@ class _Discard(io.TextIOBase):
 
 
 def test_psod_json_peak_memory_is_near_the_descriptor(tmp_path):
-    """Streaming keeps psod's peak near the descriptor's own size: no list of
-    label dicts, no encoder chunk list and no document string."""
+    """Streaming keeps psod's peak near the size of the descriptor's list of
+    characters: no list of labels or label dicts, no encoder chunk list and
+    no document string.  Garbage is collected before each reading, so that
+    what earlier tests left is not collected inside a measured window."""
     scene = write_scene(tmp_path, LINE_SCENE)
     with redirect_stdout(_Discard()):
         assert main(["psod", scene, "--level", "2"]) == EXIT_OK  # loads the schema
     cx = snc_from_divisors(("D",), [[], ["D"]])
+    gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        desc = psod_infinite(cx, 7)
+        chars = psod_infinite(cx, 7).characters()
+        gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - base
-        del desc
+        del chars
+        gc.collect()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         with redirect_stdout(_Discard()):

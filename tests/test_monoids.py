@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MONOID_LIBRARY, SQUARE_CONE, UNSATURATED
 from logsod import monoids
-from logsod.errors import BoxTooLarge, LogsodError, NotSharp, NotSimplicial, ParseError, ZeroMonoid
+from logsod.errors import (
+    BoxTooLarge,
+    LogsodError,
+    NotSharp,
+    NotSimplicial,
+    ParseError,
+    TooManyFaces,
+    ZeroMonoid,
+)
 from logsod.intlinalg import in_row_span, nonneg_combination
 from logsod.monoids import (
     KummerExtension,
@@ -392,6 +400,15 @@ class TestKummerExtension:
 
 
 class TestFaceStrata:
+    def test_many_rays_refused_with_count(self):
+        # The cone over (i, i^2, 1) has a ray for each i: 11 rays have 2048
+        # subsets, over the cap.
+        m = ToricMonoid(3, tuple((i, i * i, 1) for i in range(11)))
+        assert 2 ** 10 <= monoids.FACE_SUBSET_CAP < 2 ** 11
+        with pytest.raises(TooManyFaces, match="11 extremal rays has 2048 ray subsets") as info:
+            face_strata(m)
+        assert isinstance(info.value, LogsodError)
+
     def test_free_square_lattice(self):
         fl = face_strata(ToricMonoid(2, ((1, 0), (0, 1))))
         assert len(fl) == 4

@@ -181,16 +181,13 @@ class TestFactorialScalar:
             assert cmp_factorial_scalar(x, x) is Rel.EQ
 
     def test_comparator_matches_key_exhaustively(self):
+        # Against the recursion on fractions, over every pair in Z_{5!}.
         xs = full_level(5)
-        keys = {x: factorial_scalar_key(x) for x in xs}
-        assert len(set(keys.values())) == len(xs)
+        assert len({factorial_scalar_key(x) for x in xs}) == len(xs)
         for x in xs:
             for y in xs:
-                want = (
-                    Rel.EQ if keys[x] == keys[y]
-                    else Rel.LT if keys[x] < keys[y] else Rel.GT
-                )
-                assert cmp_factorial_scalar(x, y) is want
+                want = cmp_factorial_recursive(x.value, y.value)
+                assert cmp_factorial_scalar(x, y) is (Rel.LT, Rel.EQ, Rel.GT)[want + 1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_oracle_equivalence(self, n):

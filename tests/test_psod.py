@@ -7,20 +7,29 @@ cartesian-product enumeration; counting identities against closed forms.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from logsod.complexes import Crossing, NcComplex, SimplicialChart, snc_from_divisors, snc_of_simple
-from logsod.errors import NonDiagonalLevel, TooManyLabels, UnsupportedConfiguration
+from logsod.complexes import (
+    Crossing,
+    NcComplex,
+    SimplicialChart,
+    snc_from_divisors,
+    snc_of_simple,
+    strictify_nc,
+)
+from logsod.errors import LogsodError, NonDiagonalLevel, TooManyLabels, UnsupportedConfiguration
 from logsod.monoids import ToricMonoid
-from logsod.orders import support_partition
+from logsod.orders import support_partition, vector_first_level
 from logsod.psod import (
     LABEL_CAP,
     SUBLEVEL_CHECK_CAP,
-    FactorLabel,
     PsodDescriptor,
     bls_divergence,
     embedding_check,
@@ -32,7 +41,7 @@ from logsod.psod import (
     psod_snc,
 )
 
-from oracles import interleaving_chain
+from oracles import enumerate_characters_by_key, interleaving_chain
 
 A1 = ToricMonoid(2, ((2, 0), (1, 1), (0, 2)))
 FREE2 = ToricMonoid(2, ((1, 0), (0, 1)))
@@ -54,6 +63,47 @@ def single_divisor():
 def two_divisors():
     with pytest.warns(UserWarning):
         return snc_from_divisors(("A", "B"), [["A", "B"]])
+
+
+def with_characters(desc: PsodDescriptor, chars: list) -> PsodDescriptor:
+    """desc with its (character, first level) pairs replaced by chars: a
+    descriptor that no builder makes, for feeding checks and writers."""
+
+    class Given(PsodDescriptor):
+        def characters(self):
+            return list(chars)
+
+    return Given(**{f.name: getattr(desc, f.name) for f in dataclasses.fields(desc)})
+
+
+@st.composite
+def descriptors(draw):
+    """A descriptor of an snc scene (a tower stage, or per-component orders
+    in the standard order) or of an nc scene, each with 1-3 components,
+    and the nonempty strata of the complex its labels live on."""
+    components = draw(st.lists(st.sampled_from(["A", "B", "C", 7, 8]), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        crossings = []
+        for i in range(draw(st.integers(0, 2))):
+            a, b = draw(st.sampled_from(components)), draw(st.sampled_from(components))
+            branches = ((a, 2 * i + 1), (b, 2 * i + 2)) if a == b else ((a, 1), (b, 1))
+            crossings.append(Crossing(f"N{i}", branches))
+        nc = NcComplex(tuple(components), tuple(crossings), ambient_dim=2)
+        try:
+            simple, _ = strictify_nc(nc)
+        except LogsodError:
+            assume(False)
+        snc = snc_of_simple(simple)
+        stage = draw(st.integers(1, 3 if len(snc.components) <= 3 else 2))
+        return psod_nc(nc, stage), snc.nonempty
+    strata = [[c for c in components if draw(st.booleans())] for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = snc_from_divisors(components, strata)
+    if draw(st.booleans()):
+        return psod_infinite(cx, draw(st.integers(1, 3))), cx.nonempty
+    level = [draw(st.integers(1, 4)) for _ in components]
+    return psod_snc(cx, level, order="standard"), cx.nonempty
 
 
 def values(desc: PsodDescriptor) -> list:
@@ -215,50 +265,41 @@ class TestPsodSnc:
 
 
 class TestDescriptorValidation:
-    def test_stratum_must_match_support(self):
-        desc = psod_single(2)
-        bad = FactorLabel(frozenset(), desc.labels[0].character, "BaseStack")
-        with pytest.raises(ValueError, match="support"):
-            PsodDescriptor(desc.components, (bad, desc.labels[1]), "factorial", (2,))
-
-    def test_labels_distinct(self):
-        desc = psod_single(2)
-        with pytest.raises(ValueError, match="distinct"):
-            PsodDescriptor(
-                desc.components,
-                (desc.labels[0], desc.labels[0]),
-                "factorial",
-                (2,),
-            )
-
-    def test_count_must_match_level(self):
-        desc = psod_single(2)
-        with pytest.raises(ValueError, match="enumerates"):
-            PsodDescriptor(desc.components, desc.labels, "factorial", (4,))
-
-    def test_char_must_divide_level(self):
-        from logsod.orders import as_vector
-
-        labels = []
-        for v in (Fraction(-1, 2), Fraction(-1, 4), Fraction(-1, 3), Fraction(0)):
-            chi = as_vector([v])
-            labels.append(
-                FactorLabel(
-                    frozenset({"D"}) if v else frozenset(),
-                    chi,
-                    "GerbeCharacter" if v else "BaseStack",
-                )
-            )
-        with pytest.raises(ValueError, match="does not live at level"):
-            PsodDescriptor(("D",), tuple(labels), "standard", (4,))
-
     def test_provenance_rules(self):
+        # The base stack is the label on the empty stratum, and only it.
         desc = psod_single(2)
-        bad = FactorLabel(frozenset({"D"}), desc.labels[0].character, "BaseStack")
-        with pytest.raises(ValueError):
-            PsodDescriptor(desc.components, (bad, desc.labels[1]), "factorial", (2,))
+        assert [(l.stratum, l.provenance) for l in desc.iter_labels()] == [
+            (frozenset({"D"}), "GerbeCharacter"),
+            (frozenset(), "BaseStack"),
+        ]
         with pytest.raises(ValueError, match="order tag"):
-            PsodDescriptor(desc.components, desc.labels, "weird", (2,))
+            PsodDescriptor(desc.components, desc.nonempty, "weird", (2,))
+
+    def test_level_checks(self):
+        cx = single_divisor()
+        with pytest.raises(ValueError, match="one cyclic order per component"):
+            PsodDescriptor(cx.components, cx.nonempty, "standard", (2, 2))
+        with pytest.raises(ValueError, match="positive"):
+            PsodDescriptor(cx.components, cx.nonempty, "standard", (0,))
+        with pytest.raises(ValueError, match="diagonal n! level"):
+            PsodDescriptor(cx.components, cx.nonempty, "factorial", (4,), truncation=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_generated_labels_keep_the_descriptor_invariants(self, data):
+        desc, nonempty = data.draw(descriptors())
+        chars = enumerate_characters_by_key(desc.level, range(1, len(desc.level) + 1))
+        if desc.order == "standard":
+            chars.sort(key=lambda chi: tuple(c.value for c in chi))
+        labels = list(desc.iter_labels())
+        assert [lab.character for lab in labels] == chars
+        for lab in labels:
+            support = frozenset(c for c, x in zip(desc.components, lab.character) if x.p)
+            assert lab.stratum == support
+            assert (lab.provenance == "BaseStack") == (not support)
+            assert lab.zero == (support not in nonempty)
+            if desc.truncation is not None:
+                assert lab.first_level == vector_first_level(lab.character)
 
 
 class TestLabelCap:
@@ -362,12 +403,9 @@ class TestEmbeddingCheck:
     def test_corrupted_order_fails(self):
         cx = single_divisor()
         good = psod_infinite(cx, 3)
-        labels = list(good.labels)
-        labels[4], labels[5] = labels[5], labels[4]
-        corrupted = PsodDescriptor(
-            good.components, tuple(labels), "factorial", good.level, good.truncation
-        )
-        report = embedding_check(cx, 3, level_descriptor=corrupted)
+        chars = good.characters()
+        chars[4], chars[5] = chars[5], chars[4]
+        report = embedding_check(cx, 3, level_descriptor=with_characters(good, chars))
         assert not report["passed"]
         kind, first, second = report["counterexamples"][0]
         assert kind == "order-mismatch"
@@ -384,12 +422,9 @@ class TestEmbeddingCheck:
     def test_corrupted_sublevel_mode(self):
         cx = two_divisors()
         small = psod_infinite(cx, 5)
-        labels = list(small.labels)
-        labels[0], labels[1] = labels[1], labels[0]
-        corrupted = PsodDescriptor(
-            small.components, tuple(labels), "factorial", small.level, small.truncation
-        )
-        report = embedding_check(cx, 6, sublevel_descriptor=corrupted)
+        chars = small.characters()
+        chars[0], chars[1] = chars[1], chars[0]
+        report = embedding_check(cx, 6, sublevel_descriptor=with_characters(small, chars))
         assert not report["passed"]
         assert report["mode"] == "sublevel"
 
