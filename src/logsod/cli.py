@@ -15,8 +15,6 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from importlib import resources
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from logsod.errors import LogsodError, ParseError
@@ -45,12 +43,12 @@ _EPILOG = (
 
 @functools.cache
 def _scene_schema() -> dict:
-    text = (
-        resources.files("logsod")
-        .joinpath("schemas/scene.schema.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
+    # pkgutil asks the package's loader, as importlib.resources does, so a
+    # zipped install works too, without importing importlib.resources, which
+    # costs milliseconds at start-up (and imports inspect on Python 3.12+).
+    import pkgutil
+
+    return json.loads(pkgutil.get_data("logsod", "schemas/scene.schema.json"))
 
 
 @functools.cache
@@ -69,7 +67,8 @@ def load_scene(path: str) -> dict:
         text = sys.stdin.read()
     else:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read scene file: {exc}") from exc
     try:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from logsod import Record
 from logsod.errors import (
     InconsistentIncidence,
     ParseError,
@@ -53,9 +53,10 @@ __all__ = [
 
 Stratum = frozenset
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class SncComplex:
+
+class SncComplex(Record, uncompared=("stratum_meta",)):
     """Simple normal crossings combinatorics: components and the set of
     index subsets whose intersection stratum is nonempty.
 
@@ -63,22 +64,28 @@ class SncComplex:
     connected-component counts); it does not affect equality.
     """
 
-    components: tuple
-    nonempty: frozenset[Stratum]
-    stratum_meta: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("components", "nonempty", "stratum_meta")
 
-    def __post_init__(self) -> None:
-        comp = set(self.components)
-        if len(comp) != len(self.components):
+    def __init__(
+        self,
+        components: tuple,
+        nonempty: frozenset[Stratum],
+        stratum_meta: Optional[dict] = None,
+    ) -> None:
+        comp = set(components)
+        if len(comp) != len(components):
             raise ValueError("component labels must be distinct")
-        if frozenset() not in self.nonempty:
+        if frozenset() not in nonempty:
             raise ValueError("the empty intersection (the total space) is nonempty")
-        for j in self.nonempty:
+        for j in nonempty:
             if not j <= comp:
                 raise ValueError(f"stratum {sorted(j, key=_sort_token)} uses unknown components")
             for c in j:
-                if j - {c} not in self.nonempty:
+                if j - {c} not in nonempty:
                     raise ValueError("nonempty strata must be downward closed")
+        _set(self, "components", components)
+        _set(self, "nonempty", nonempty)
+        _set(self, "stratum_meta", {} if stratum_meta is None else stratum_meta)
 
     def is_nonempty(self, subset: Iterable) -> bool:
         return frozenset(subset) in self.nonempty
@@ -154,8 +161,7 @@ def snc_from_divisors(
     return SncComplex(comps, frozenset(closure))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """One stratum of a crossings divisor, listed branch by branch.
 
     A branch is a (component label, branch id) pair; ids tell apart the
@@ -163,16 +169,17 @@ class Crossing:
     codimension always equals the number of branches.
     """
 
-    name: str
-    branches: tuple[tuple, ...]
-    origin: Optional[tuple] = None
+    __slots__ = ("name", "branches", "origin")
 
-    def __post_init__(self) -> None:
-        pairs = [(c, b) for c, b in self.branches]
+    def __init__(self, name: str, branches: tuple[tuple, ...], origin: Optional[tuple] = None) -> None:
+        pairs = [(c, b) for c, b in branches]
         if len(set(pairs)) != len(pairs):
-            raise ValueError(f"crossing {self.name}: duplicate branch records")
+            raise ValueError(f"crossing {name}: duplicate branch records")
         if not pairs:
-            raise ValueError(f"crossing {self.name}: needs at least one branch")
+            raise ValueError(f"crossing {name}: needs at least one branch")
+        _set(self, "name", name)
+        _set(self, "branches", branches)
+        _set(self, "origin", origin)
 
     @property
     def codim(self) -> int:
@@ -187,8 +194,7 @@ class Crossing:
         return len(set(labels)) == len(labels)
 
 
-@dataclass(frozen=True)
-class NcComplex:
+class NcComplex(Record):
     """Crossings divisor: components plus explicitly listed crossings.
 
     closure_pairs lists (inner, outer) crossing names where the inner
@@ -196,29 +202,36 @@ class NcComplex:
     lets point-likeness be decided by codimension alone.
     """
 
-    components: tuple
-    crossings: tuple[Crossing, ...]
-    closure_pairs: tuple[tuple[str, str], ...] = ()
-    ambient_dim: Optional[int] = None
+    __slots__ = ("components", "crossings", "closure_pairs", "ambient_dim")
 
-    def __post_init__(self) -> None:
-        comp = set(self.components)
-        if len(comp) != len(self.components):
+    def __init__(
+        self,
+        components: tuple,
+        crossings: tuple[Crossing, ...],
+        closure_pairs: tuple[tuple[str, str], ...] = (),
+        ambient_dim: Optional[int] = None,
+    ) -> None:
+        comp = set(components)
+        if len(comp) != len(components):
             raise ValueError("component labels must be distinct")
-        names = [s.name for s in self.crossings]
+        names = [s.name for s in crossings]
         if len(set(names)) != len(names):
             raise ValueError("crossing names must be distinct")
-        for s in self.crossings:
+        for s in crossings:
             for c, _ in s.branches:
                 if c not in comp:
                     raise ValueError(f"crossing {s.name} uses unknown component {c!r}")
-            if self.ambient_dim is not None and s.codim > self.ambient_dim:
+            if ambient_dim is not None and s.codim > ambient_dim:
                 raise ValueError(
                     f"crossing {s.name} has codimension {s.codim} above the ambient dimension"
                 )
-        for inner, outer in self.closure_pairs:
+        for inner, outer in closure_pairs:
             if inner not in set(names) or outer not in set(names):
                 raise ValueError(f"closure pair ({inner}, {outer}) names unknown crossings")
+        _set(self, "components", components)
+        _set(self, "crossings", crossings)
+        _set(self, "closure_pairs", closure_pairs)
+        _set(self, "ambient_dim", ambient_dim)
 
     def crossing(self, name: str) -> Crossing:
         for s in self.crossings:
@@ -270,16 +283,20 @@ def is_simple(nc: NcComplex) -> bool:
     return all(s.is_simple() for s in nc.crossings)
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    stratum: str
-    codim: int
-    exceptional: str
+class BlowupStep(Record):
+    __slots__ = ("stratum", "codim", "exceptional")
+
+    def __init__(self, stratum: str, codim: int, exceptional: str) -> None:
+        _set(self, "stratum", stratum)
+        _set(self, "codim", codim)
+        _set(self, "exceptional", exceptional)
 
 
-@dataclass(frozen=True)
-class BlowupLog:
-    steps: tuple[BlowupStep, ...]
+class BlowupLog(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[BlowupStep, ...]) -> None:
+        _set(self, "steps", steps)
 
     def to_json(self) -> list:
         return [
@@ -418,8 +435,7 @@ def normalized_names(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FixedLocusData:
+class FixedLocusData(Record):
     """Finite diagonal group action data on the canonical root pair.
 
     invariant_factors define the group as a product of cyclic factors (each
@@ -428,17 +444,24 @@ class FixedLocusData:
     element, the stratum of coordinates it does not fix.
     """
 
-    components: tuple
-    invariant_factors: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
-    fixed_components: tuple[tuple[tuple[int, ...], Stratum], ...]
+    __slots__ = ("components", "invariant_factors", "weights", "fixed_components")
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.invariant_factors):
+    def __init__(
+        self,
+        components: tuple,
+        invariant_factors: tuple[int, ...],
+        weights: tuple[tuple[int, ...], ...],
+        fixed_components: tuple[tuple[tuple[int, ...], Stratum], ...],
+    ) -> None:
+        if len(weights) != len(invariant_factors):
             raise ValueError("one weight row per invariant factor required")
-        for row in self.weights:
-            if len(row) != len(self.components):
+        for row in weights:
+            if len(row) != len(components):
                 raise ValueError("one weight per component required")
+        _set(self, "components", components)
+        _set(self, "invariant_factors", invariant_factors)
+        _set(self, "weights", weights)
+        _set(self, "fixed_components", fixed_components)
 
     def group_order(self) -> int:
         return math.prod(self.invariant_factors)
@@ -455,17 +478,17 @@ class FixedLocusData:
         }
 
 
-@dataclass(frozen=True)
-class SimplicialChart:
+class SimplicialChart(Record):
     """Chart list for a simplicial log pair; desk scale supports one global
     chart with arbitrary finite diagonal quotient, or several charts that
     are all free (no quotient), treated as a disjoint union."""
 
-    monoids: tuple[ToricMonoid, ...]
+    __slots__ = ("monoids",)
 
-    def __post_init__(self) -> None:
-        if not self.monoids:
+    def __init__(self, monoids: tuple[ToricMonoid, ...]) -> None:
+        if not monoids:
             raise ValueError("chart list must be nonempty")
+        _set(self, "monoids", monoids)
 
 
 def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusData]:

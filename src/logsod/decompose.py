@@ -12,9 +12,9 @@ gives the same counts; the tests and selfcheck do so as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
+from logsod import Record
 from logsod.complexes import (
     FixedLocusData,
     NcComplex,
@@ -52,6 +52,8 @@ __all__ = [
 Value = Union[int, tuple]
 
 VALUE_SYSTEMS = ("int", "int_vector", "poly")
+
+_set = object.__setattr__
 
 
 def _normalize_value(system: str, v) -> Value:
@@ -110,30 +112,29 @@ def render_value(system: str, v: Value) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class InvariantAssignment:
+class InvariantAssignment(Record):
     """Stratum-name-keyed values in one additive value system.
 
     The invariant tag ("K", "G", ...) only documents what the numbers mean;
     it is carried through to reports unchanged.
     """
 
-    value_system: str
-    values: Mapping[str, Value]
-    invariant: str = "K"
+    __slots__ = ("value_system", "values", "invariant")
 
-    def __post_init__(self) -> None:
-        if self.value_system not in VALUE_SYSTEMS:
-            raise ValueError(f"unknown value system {self.value_system!r}")
+    def __init__(self, value_system: str, values: Mapping[str, Value], invariant: str = "K") -> None:
+        if value_system not in VALUE_SYSTEMS:
+            raise ValueError(f"unknown value system {value_system!r}")
         normalized = {
-            str(k): _normalize_value(self.value_system, v)
-            for k, v in self.values.items()
+            str(k): _normalize_value(value_system, v)
+            for k, v in values.items()
         }
-        if self.value_system == "int_vector" and normalized:
+        if value_system == "int_vector" and normalized:
             widths = {len(v) for v in normalized.values()}
             if len(widths) > 1:
                 raise ValueError("vector values must share one length")
-        object.__setattr__(self, "values", normalized)
+        _set(self, "value_system", value_system)
+        _set(self, "values", normalized)
+        _set(self, "invariant", invariant)
 
     def value_of(self, key: str) -> Value:
         if key not in self.values:
@@ -163,26 +164,51 @@ class InvariantAssignment:
         }
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    stratum: str
-    count: int
-    value: Value
-    contribution: Value
-    counting_function: Optional[str] = None
+class ReportRow(Record):
+    __slots__ = ("stratum", "count", "value", "contribution", "counting_function")
+
+    def __init__(
+        self,
+        stratum: str,
+        count: int,
+        value: Value,
+        contribution: Value,
+        counting_function: Optional[str] = None,
+    ) -> None:
+        _set(self, "stratum", stratum)
+        _set(self, "count", count)
+        _set(self, "value", value)
+        _set(self, "contribution", contribution)
+        _set(self, "counting_function", counting_function)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    kind: str
-    value_system: str
-    invariant: str
-    base_value: Value
-    rows: tuple[ReportRow, ...]
-    total: Value
-    level: Optional[tuple[int, ...]] = None
-    truncation: Optional[int] = None
-    notes: tuple[str, ...] = ()
+class DecompositionReport(Record):
+    __slots__ = (
+        "kind", "value_system", "invariant", "base_value", "rows", "total",
+        "level", "truncation", "notes",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        value_system: str,
+        invariant: str,
+        base_value: Value,
+        rows: tuple[ReportRow, ...],
+        total: Value,
+        level: Optional[tuple[int, ...]] = None,
+        truncation: Optional[int] = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "value_system", value_system)
+        _set(self, "invariant", invariant)
+        _set(self, "base_value", base_value)
+        _set(self, "rows", rows)
+        _set(self, "total", total)
+        _set(self, "level", level)
+        _set(self, "truncation", truncation)
+        _set(self, "notes", notes)
 
     def _encode(self, v: Value):
         return v if self.value_system == "int" else list(v)

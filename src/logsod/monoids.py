@@ -10,11 +10,11 @@ root orders and the finite quotient group in invariant-factor form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Sequence
 
+from logsod import Record
 from logsod.errors import BoxTooLarge, NotSharp, NotSimplicial, ParseError, TooManyFaces, ZeroMonoid
 from logsod.intlinalg import (
     hermite_row_basis,
@@ -45,9 +45,10 @@ __all__ = [
 LatticeVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ToricMonoid:
+
+class ToricMonoid(Record):
     """Submonoid of Z^ambient_rank given by a finite generator list.
 
     Generators must be nonzero; sharpness and saturation are properties of
@@ -55,19 +56,19 @@ class ToricMonoid:
     construction.
     """
 
-    ambient_rank: int
-    generators: tuple[LatticeVector, ...]
+    __slots__ = ("ambient_rank", "generators")
 
-    def __post_init__(self) -> None:
-        if self.ambient_rank < 1:
+    def __init__(self, ambient_rank: int, generators: Sequence[Sequence[int]]) -> None:
+        if ambient_rank < 1:
             raise ValueError("ambient rank must be positive")
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = tuple(tuple(int(x) for x in g) for g in generators)
         for g in gens:
-            if len(g) != self.ambient_rank:
+            if len(g) != ambient_rank:
                 raise ValueError(f"generator {g} has wrong length")
             if not any(g):
                 raise ValueError("zero generator not allowed")
+        _set(self, "ambient_rank", ambient_rank)
+        _set(self, "generators", gens)
 
     @classmethod
     def from_json(cls, data: dict) -> "ToricMonoid":
@@ -323,8 +324,7 @@ def is_saturated(m: ToricMonoid) -> bool:
     return set(minimal) <= set(m.generators)
 
 
-@dataclass(frozen=True)
-class KummerExtension:
+class KummerExtension(Record):
     """Minimal free monoid containing the source with finite root orders.
 
     target_basis lists the rescaled primitive ray generators; root_orders the
@@ -332,20 +332,27 @@ class KummerExtension:
     quotient of the two group lattices (factors >= 2 only).
     """
 
-    source: ToricMonoid
-    target_basis: tuple[RationalVector, ...]
-    root_orders: tuple[int, ...]
-    quotient_invariant_factors: tuple[int, ...]
+    __slots__ = ("source", "target_basis", "root_orders", "quotient_invariant_factors")
 
-    def __post_init__(self) -> None:
-        if len(self.target_basis) != len(self.root_orders):
+    def __init__(
+        self,
+        source: ToricMonoid,
+        target_basis: tuple[RationalVector, ...],
+        root_orders: tuple[int, ...],
+        quotient_invariant_factors: tuple[int, ...],
+    ) -> None:
+        if len(target_basis) != len(root_orders):
             raise ValueError("one root order per basis vector required")
-        if rational_rank(self.target_basis) != len(self.target_basis):
+        if rational_rank(target_basis) != len(target_basis):
             raise ValueError("target basis must be linearly independent")
-        if any(c < 1 for c in self.root_orders):
+        if any(c < 1 for c in root_orders):
             raise ValueError("root orders must be positive")
-        if any(f < 2 for f in self.quotient_invariant_factors):
+        if any(f < 2 for f in quotient_invariant_factors):
             raise ValueError("trivial invariant factors must be omitted")
+        _set(self, "source", source)
+        _set(self, "target_basis", target_basis)
+        _set(self, "root_orders", root_orders)
+        _set(self, "quotient_invariant_factors", quotient_invariant_factors)
 
     @property
     def rays(self) -> tuple[LatticeVector, ...]:

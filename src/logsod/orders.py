@@ -12,12 +12,18 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
+from bisect import bisect_left, bisect_right
 from itertools import product, repeat
-from typing import Iterable, Optional, Sequence
+from operator import neg
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from logsod import Record
 from logsod.errors import LengthMismatch
+
+# Fractions are built only where a rational is asked for, so that the
+# character orders and enumeration load no fractions module.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Character",
@@ -43,8 +49,13 @@ __all__ = [
 ]
 
 
+_set = object.__setattr__
+
+
 def mod_one(x: Fraction | int) -> Fraction:
     """Representative of x mod Z in the window (-1, 0]."""
+    from fractions import Fraction
+
     f = Fraction(x)
     return f - math.ceil(f)
 
@@ -58,21 +69,21 @@ class Rel(enum.Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True, order=False)
-class Character:
+class Character(Record):
     """A class in Q/Z stored as the reduced pair (p, q) meaning -p/q.
 
     The numeric value lies in (-1, 0]; zero is (0, 1).
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 1 or not 0 <= self.p < self.q:
-            raise ValueError(f"character pair out of range: ({self.p}, {self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"character pair not reduced: ({self.p}, {self.q})")
+    def __init__(self, p: int, q: int) -> None:
+        if q < 1 or not 0 <= p < q:
+            raise ValueError(f"character pair out of range: ({p}, {q})")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"character pair not reduced: ({p}, {q})")
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     @classmethod
     def of(cls, x: Fraction | int) -> "Character":
@@ -91,6 +102,8 @@ class Character:
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(-self.p, self.q)
 
     def is_zero(self) -> bool:
@@ -111,25 +124,27 @@ def as_vector(entries: Iterable[Character | Fraction | int]) -> CharVector:
     return tuple(e if isinstance(e, Character) else Character.of(e) for e in entries)
 
 
-@dataclass(frozen=True)
-class FactorialForm:
+class FactorialForm(Record):
     """Expression of a character as -p/n! with n minimal; zero is (0, 1)."""
 
-    p: int
-    n: int
+    __slots__ = ("p", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.p < 0:
-            raise ValueError(f"invalid factorial form ({self.p}, {self.n})")
+    def __init__(self, p: int, n: int) -> None:
+        if n < 1 or p < 0:
+            raise ValueError(f"invalid factorial form ({p}, {n})")
         # -p/n! already lives at level n-1 exactly when n divides p.
-        if self.p == 0:
-            if self.n != 1:
+        if p == 0:
+            if n != 1:
                 raise ValueError("zero must be written at level 1")
-        elif self.p >= math.factorial(self.n) or (self.n > 1 and self.p % self.n == 0):
-            raise ValueError(f"({self.p}, {self.n}) is not a minimal-level form")
+        elif p >= math.factorial(n) or (n > 1 and p % n == 0):
+            raise ValueError(f"({p}, {n}) is not a minimal-level form")
+        _set(self, "p", p)
+        _set(self, "n", n)
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(-self.p, math.factorial(self.n))
 
 
@@ -424,7 +439,8 @@ def enumerate_characters(
     vectors of each first level L, deepest first, are the product of the
     axes cut to first level <= L, less those with no coordinate at level L.
     An axis lists its characters by descending first level, so the cut is
-    a suffix of the axis and its level-L characters a prefix of the cut.
+    a suffix of the axis and its level-L characters a prefix of the cut;
+    both are sliced at bounds found by bisection.
     """
     orders = [int(r) for r in orders]
     if any(r < 1 for r in orders):
@@ -438,15 +454,22 @@ def enumerate_characters(
     zero = Character.zero()
     if not chosen:
         return [((zero,) * len(orders), 1)]
-    axes = [
-        [(c, n) for c, n in _factorial_axis(orders[j - 1])
-         if not (star and c.p == 0) and (prime_to is None or c.q % prime_to)]
-        for j in chosen
-    ]
+    axes = []  # per axis, its characters and their first levels
+    for j in chosen:
+        chars, levels = [], []
+        for c, n in zip(*_factorial_axis(orders[j - 1])):
+            if not (star and c.p == 0) and (prime_to is None or c.q % prime_to):
+                chars.append(c)
+                levels.append(n)
+        axes.append((chars, levels))
     out: list[tuple[CharVector, int]] = []
-    for level in sorted({n for axis in axes for _, n in axis}, reverse=True):
-        cut = [[c for c, n in axis if n <= level] for axis in axes]
-        tops = [[c for c, n in axis if n == level] for axis in axes]
+    for level in sorted({n for _, levels in axes for n in levels}, reverse=True):
+        cut, tops = [], []
+        for chars, levels in axes:
+            # The levels descend, so they ascend under neg.
+            start = bisect_left(levels, -level, key=neg)
+            cut.append(chars[start:])
+            tops.append(chars[start:bisect_right(levels, -level, key=neg)])
         # Built from the last axis back: a vector has a level-L coordinate
         # in the first axis (then any rest) or after it.
         exact = [(c,) for c in tops[-1]]
@@ -468,8 +491,8 @@ def _place(coords: CharVector, chosen: list[int], k: int, zero: Character) -> Ch
     return tuple(vec)
 
 
-def _factorial_axis(r: int) -> list[tuple[Character, int]]:
-    """Z_r in the factorial order, each character with its first level.
+def _factorial_axis(r: int) -> tuple[list[Character], list[int]]:
+    """Z_r in the factorial order, and the first level of each character.
 
     Z_r is the multiples of s = n!/r in Z_{n!}, n the first level of 1/r.
     factorial_scalar_key reads a character -M/n! by the digits d_m of M in
@@ -500,13 +523,14 @@ def _factorial_axis(r: int) -> list[tuple[Character, int]]:
         step //= g
         place *= m
         fact_m //= m
-    axis = []
+    chars, levels = [], []
     for a, taken, level in runs:
         big = taken + place * a
         g = math.gcd(big, f)
         c = Character(big // g, f // g)
-        axis.append((c, level or _tower_level(c.q)[0]))
-    return axis
+        chars.append(c)
+        levels.append(level or _tower_level(c.q)[0])
+    return chars, levels
 
 
 def _is_prime(n: int) -> bool:

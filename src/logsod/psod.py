@@ -11,10 +11,9 @@ checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
+from logsod import Record
 from logsod.complexes import (
     NcComplex,
     SimplicialChart,
@@ -51,9 +50,10 @@ __all__ = [
 BASE = "BaseStack"
 GERBE = "GerbeCharacter"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class FactorLabel:
+
+class FactorLabel(Record):
     """One factor: a character with its exact support and provenance.
 
     The base factor is the zero character on the empty stratum; every other
@@ -62,12 +62,23 @@ class FactorLabel:
     and normalized are annotations added by the infinite and nc builders.
     """
 
-    stratum: frozenset
-    character: CharVector
-    provenance: str
-    zero: bool = False
-    first_level: Optional[int] = None
-    normalized: Optional[tuple[tuple[str, int], ...]] = None
+    __slots__ = ("stratum", "character", "provenance", "zero", "first_level", "normalized")
+
+    def __init__(
+        self,
+        stratum: frozenset,
+        character: CharVector,
+        provenance: str,
+        zero: bool = False,
+        first_level: Optional[int] = None,
+        normalized: Optional[tuple[tuple[str, int], ...]] = None,
+    ) -> None:
+        _set(self, "stratum", stratum)
+        _set(self, "character", character)
+        _set(self, "provenance", provenance)
+        _set(self, "zero", zero)
+        _set(self, "first_level", first_level)
+        _set(self, "normalized", normalized)
 
     def to_json(self, components: Sequence) -> dict:
         """The label's JSON, its stratum listed in the components' order."""
@@ -84,8 +95,7 @@ class FactorLabel:
         return out
 
 
-@dataclass(frozen=True)
-class PsodDescriptor:
+class PsodDescriptor(Record, unhashed=("names",)):
     """Ordered label family for one level of the root-stack tower, held as
     the parameters that determine it.
 
@@ -100,40 +110,57 @@ class PsodDescriptor:
     records blow-up factor counts for the base, metadata only.
     """
 
-    components: tuple
-    nonempty: frozenset
-    order: str
-    level: tuple[int, ...]
-    truncation: Optional[int] = None
-    base_breakdown: Optional[tuple[tuple[str, int], ...]] = None
-    names: Optional[dict] = field(default=None, hash=False)
+    __slots__ = (
+        "components", "nonempty", "order", "level", "truncation", "base_breakdown", "names",
+    )
 
-    def __post_init__(self) -> None:
-        if self.order not in ("standard", "factorial"):
-            raise ValueError(f"unknown order tag {self.order!r}")
-        if len(self.level) != len(self.components):
+    def __init__(
+        self,
+        components: tuple,
+        nonempty: frozenset,
+        order: str,
+        level: tuple[int, ...],
+        truncation: Optional[int] = None,
+        base_breakdown: Optional[tuple[tuple[str, int], ...]] = None,
+        names: Optional[dict] = None,
+    ) -> None:
+        if order not in ("standard", "factorial"):
+            raise ValueError(f"unknown order tag {order!r}")
+        if len(level) != len(components):
             raise ValueError("one cyclic order per component required")
-        if any(r < 1 for r in self.level):
+        if any(r < 1 for r in level):
             raise ValueError("cyclic orders must be positive")
-        if len(set(self.components)) != len(self.components):
+        if len(set(components)) != len(components):
             raise ValueError("component labels must be distinct")
-        if self.truncation is not None:
-            fact = math.factorial(self.truncation)
-            if any(r != fact for r in self.level):
+        if truncation is not None:
+            fact = math.factorial(truncation)
+            if any(r != fact for r in level):
                 raise ValueError("truncation descriptors live at diagonal n! level")
-        count = math.prod(self.level)
+        count = math.prod(level)
         if count > LABEL_CAP:
             raise TooManyLabels(
-                f"level {list(self.level)} has {count} labels, more than the "
+                f"level {list(level)} has {count} labels, more than the "
                 f"{LABEL_CAP} a descriptor may build; 'logsod decompose' counts "
                 "them without building them"
             )
+        _set(self, "components", components)
+        _set(self, "nonempty", nonempty)
+        _set(self, "order", order)
+        _set(self, "level", level)
+        _set(self, "truncation", truncation)
+        _set(self, "base_breakdown", base_breakdown)
+        _set(self, "names", names)
 
     def characters(self) -> list[tuple[CharVector, int]]:
         """The labels' characters in order, each with its first level."""
         chars = enumerate_characters(self.level, range(1, len(self.level) + 1))
         if self.order == "standard":
-            chars.sort(key=_standard_key)
+            # Lexicographic by coordinate value, a deterministic linear
+            # extension of the componentwise standard order.  Each value
+            # -p/q is read as the integer -p * (r / q) over its component's
+            # order r, which q divides.
+            level = self.level
+            chars.sort(key=lambda pair: [-c.p * (r // c.q) for c, r in zip(pair[0], level)])
         return chars
 
     def iter_labels(self) -> Iterator[FactorLabel]:
@@ -187,12 +214,6 @@ class PsodDescriptor:
         if self.base_breakdown is not None:
             out["base_breakdown"] = [[s, k] for s, k in self.base_breakdown]
         return out
-
-
-def _standard_key(pair: tuple[CharVector, int]) -> tuple[Fraction, ...]:
-    # Lexicographic by coordinate value: a deterministic linear extension of
-    # the componentwise standard order.
-    return tuple(c.value for c in pair[0])
 
 
 def _single_divisor_complex() -> SncComplex:
@@ -280,9 +301,9 @@ def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
 
 
 # Most labels a descriptor generates.  A `logsod psod` process peaks at about
-# 0.40 KB a label (one divisor at level 9: 362,880 labels, 146 MB), set by
-# characters(): its list of (character, first level) pairs, about 260 B a
-# label, and about 80 B more that enumerate_characters holds while building
+# 0.30 KB a label (one divisor at level 9: 362,880 labels, 109 MB), set by
+# characters(): its list of (character, first level) pairs, about 220 B a
+# label, and about 30 B more that enumerate_characters holds while building
 # it.  The labels are written one at a time and never held.
 # embedding_check's sublevel mode builds up to SUBLEVEL_CHECK_CAP.
 LABEL_CAP = 600_000

@@ -9,10 +9,10 @@ exceptions, so the suite can run as a single CI gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from logsod import Record
 from logsod.complexes import snc_from_divisors
 from logsod.decompose import InvariantAssignment, decompose_finite
 from logsod.monoids import ToricMonoid, canonical_kummer_extension, extremal_rays
@@ -21,13 +21,17 @@ from logsod.psod import embedding_check
 
 __all__ = ["CheckResult", "SelfcheckReport", "DEFAULT_CHECKS", "run_selfcheck"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    counterexamples: tuple = ()
+
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail", "counterexamples")
+
+    def __init__(self, name: str, passed: bool, detail: str, counterexamples: tuple = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
+        _set(self, "counterexamples", counterexamples)
 
     def to_json(self) -> dict:
         return {
@@ -38,10 +42,12 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class SelfcheckReport:
-    level: int
-    results: tuple[CheckResult, ...]
+class SelfcheckReport(Record):
+    __slots__ = ("level", "results")
+
+    def __init__(self, level: int, results: tuple[CheckResult, ...]) -> None:
+        _set(self, "level", level)
+        _set(self, "results", results)
 
     @property
     def passed(self) -> bool:

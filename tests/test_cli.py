@@ -798,16 +798,20 @@ class TestInputHandling:
 
 
 # Runs one command in a fresh interpreter, output to a file, and prints the
-# exit code and the jsonschema and logsod modules the process loaded.
+# exit code and the modules the process loaded: logsod's, jsonschema, and
+# three standard modules that cost start-up time.  No valid-scene command
+# may load dataclasses or inspect, and only the lattice layer loads
+# fractions.
 _CHILD = """
 import json, sys
+_WATCHED = {"jsonschema", "dataclasses", "inspect", "fractions"}
 from logsod.cli import main
 code = main(sys.argv[1:])
-mods = [m for m in sys.modules if m == "jsonschema" or m.startswith("logsod.")]
+mods = [m for m in sys.modules if m in _WATCHED or m.startswith("logsod.")]
 print(json.dumps([code, sorted(mods)]))
 """
 _CORE = {"logsod.cli", "logsod.errors", "logsod.orders"}
-_LATTICE = {"logsod.monoids", "logsod.intlinalg"}
+_LATTICE = {"logsod.monoids", "logsod.intlinalg", "fractions"}
 _MONOID = _CORE | _LATTICE | {"logsod.schemacheck"}
 # snc and nc scenes need neither the monoid nor the lattice layer; charts do.
 _COMPLEX = _CORE | {"logsod.schemacheck", "logsod.complexes"}

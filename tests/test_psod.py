@@ -7,7 +7,7 @@ cartesian-product enumeration; counting identities against closed forms.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import math
 import warnings
 from fractions import Fraction
@@ -73,7 +73,8 @@ def with_characters(desc: PsodDescriptor, chars: list) -> PsodDescriptor:
         def characters(self):
             return list(chars)
 
-    return Given(**{f.name: getattr(desc, f.name) for f in dataclasses.fields(desc)})
+    params = inspect.signature(PsodDescriptor).parameters
+    return Given(**{name: getattr(desc, name) for name in params})
 
 
 @st.composite
