@@ -15,6 +15,8 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate
+from operator import mul
 from typing import TYPE_CHECKING
 
 from logsod.errors import LogsodError, ParseError
@@ -111,9 +113,7 @@ def _build_monoid(data: dict) -> ToricMonoid:
 def _build_snc(data: dict) -> SncComplex:
     from logsod.complexes import snc_from_divisors
 
-    return snc_from_divisors(
-        data["components"], data["nonempty"], data.get("empty", ())
-    )
+    return snc_from_divisors(data["components"], data["nonempty"], data.get("empty", ()))
 
 
 def _build_chart(data: dict) -> SimplicialChart:
@@ -134,21 +134,19 @@ def _check_assignment_keys(v: InvariantAssignment, cx: SncComplex) -> None:
     known = {"X"} | {cx.stratum_name(s) for s in cx.strata(proper=True)}
     unknown = sorted(set(v.values) - known)
     if unknown:
-        raise ParseError(
-            f"assignment references unknown strata: {', '.join(unknown)}"
-        )
+        raise ParseError(f"assignment references unknown strata: {', '.join(unknown)}")
 
 
-def _parse_level(raw) -> int | tuple[int, ...]:
+def _level(args, data: dict) -> int | tuple[int, ...]:
+    raw = _option(args, data, "level")
     if raw is None:
-        return None
+        raise ParseError("a level is required (--level or scene options)")
     if isinstance(raw, int):
         return raw
     if isinstance(raw, (list, tuple)):
         return tuple(int(x) for x in raw)
     try:
-        parts = [p for p in str(raw).split(",") if p.strip()]
-        values = [int(p) for p in parts]
+        values = [int(p) for p in str(raw).split(",") if p.strip()]
     except ValueError as exc:
         raise ParseError(f"bad level {raw!r}: {exc}") from exc
     if not values:
@@ -169,7 +167,7 @@ def _emit(args, json_chunks: Callable[[], Iterable[str]], to_text: Callable[[], 
 
     The output file is opened here, once the command's work has succeeded,
     so a failed command leaves none behind.  JSON is written as it is
-    encoded, chunk by chunk (see _json_chunks).  A write that fails, on the
+    encoded, chunk by chunk (see _psod_json).  A write that fails, on the
     file or on stdout (a closed pipe, a full disk), is a ParseError.
     """
     chunks = json_chunks() if args.format == "json" else (to_text(),)
@@ -218,56 +216,21 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def _json_chunks(payload: dict, encode_item: Callable[[object, str], str] | None = None) -> Iterator[str]:
-    """json.dumps(payload, indent=2, ensure_ascii=False) in pieces, for a
-    payload with str keys.  A value that is an iterator (psod's labels) is
-    written one item at a time, as the list of its items would be, so that
-    neither the items nor the document are held at once.  encode_item, when
-    given, writes those items in place of _encode."""
-    encode_item = encode_item or _encode
-    sep = "{\n  "
-    for key, value in payload.items():
-        yield sep + _encode_str(key) + ": "
-        sep = ",\n  "
-        if not isinstance(value, Iterator):
-            yield _encode(value, "  ")
-            continue
-        item_sep = "[\n    "
-        for item in value:
-            yield item_sep + encode_item(item, "    ")
-            item_sep = ",\n    "
-        yield "[]" if item_sep == "[\n    " else "\n  ]"
-    yield "{}" if sep == "{\n  " else "\n}"
-
-
-_encode_str = json.encoder.encode_basestring
-
-
-def _encode(value, indent: str) -> str:
+def _dumps(value, indent: str = "") -> str:
     """json.dumps(value, indent=2, ensure_ascii=False) for a value nested at
-    the given indentation.  Containers are joined here, which is faster than
-    json's pure-Python indenting encoder; other values are json's own."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_encode(x, inner) for x in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        if not value:
-            return "{}"
-        items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    text = json.dumps(value, indent=2, ensure_ascii=False)
-    return text.replace("\n", "\n" + indent)
+    the given indentation."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
+def _check_digits(what: str, values: Iterable) -> None:
+    """Refuse output with an integer, alone or in a tuple, of more digits than
+    Python writes (sys.get_int_max_str_digits()), before any of it is written."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    ints = (x for v in values for x in (v if isinstance(v, tuple) else (v,)))
+    # An integer of at most 3.32 * limit bits is under 2**(3.32 * limit) < 10**limit.
+    if limit and any(abs(x) >= 10 ** limit for x in ints if x.bit_length() > 3.32 * limit):
+        raise ValueError(f"{what} is too large to report: its numbers have more than "
+                         f"the {limit} digits an integer may have in the output")
 
 
 def _vec(v) -> str:
@@ -276,11 +239,7 @@ def _vec(v) -> str:
 
 def cmd_monoid(args) -> int:
     from logsod.monoids import (
-        extremal_rays,
-        face_strata,
-        indecomposables,
-        is_saturated,
-        is_simplicial,
+        extremal_rays, face_strata, indecomposables, is_saturated, is_simplicial,
     )
 
     data = load_scene(args.scene)
@@ -311,7 +270,7 @@ def cmd_monoid(args) -> int:
             f"faces: {len(faces.elements)}",
         ])
 
-    _emit(args, lambda: _json_chunks(payload), text)
+    _emit(args, lambda: (_dumps(payload),), text)
     return EXIT_OK
 
 
@@ -331,7 +290,7 @@ def cmd_kummer(args) -> int:
             f"group order: {ext.group_order()}",
         ])
 
-    _emit(args, lambda: _json_chunks(ext.to_json()), text)
+    _emit(args, lambda: (_dumps(ext.to_json()),), text)
     return EXIT_OK
 
 
@@ -362,9 +321,7 @@ def _psod_descriptor(data: dict, level, order: str):
 
 def cmd_psod(args) -> int:
     data = load_scene(args.scene)
-    level = _parse_level(_option(args, data, "level"))
-    if level is None:
-        raise ParseError("a level is required (--level or scene options)")
+    level = _level(args, data)
     order = _option(args, data, "order") or "factorial"
     desc = _psod_descriptor(data, level, order)
     _emit(args, lambda: _psod_json(desc), lambda: _psod_text(desc))
@@ -372,44 +329,51 @@ def cmd_psod(args) -> int:
 
 
 def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
-    """The JSON of desc.to_json(), each label written from the pieces of
-    its stratum (see _stratum_pieces) and its characters' integers."""
-    outline = desc.json_outline()
-    outline["labels"] = desc.iter_labels()
+    """The JSON of desc.to_json(), its labels written one at a time, each
+    from the pieces of its stratum (see _json_label_pieces) and its
+    characters' integers."""
     pieces: dict = {}
     label_pieces = functools.partial(_json_label_pieces, desc.components)
-
-    def encode(lab: FactorLabel, indent: str) -> str:
-        head, middle, tail = _stratum_pieces(pieces, lab, label_pieces)
-        chars = ",\n        ".join(
-            [f"[\n          {x.p},\n          {x.q}\n        ]" for x in lab.character])
-        chars = f"[\n        {chars}\n      ]" if chars else "[]"
-        level = "" if lab.first_level is None else f',\n      "first_level": {lab.first_level}'
-        return f"{head}{chars}{middle}{level}{tail}"
-
-    return _json_chunks(outline, encode)
+    sep = "{\n  "
+    for key, value in desc.json_outline().items():
+        yield sep + _dumps(key) + ": "
+        sep = ",\n  "
+        if key != "labels":
+            yield _dumps(value, "  ")
+            continue
+        item_sep = "[\n    "
+        for lab in desc.iter_labels():
+            head, middle, tail = _stratum_pieces(pieces, lab, label_pieces)
+            chars = ",\n        ".join(
+                [f"[\n          {x.p},\n          {x.q}\n        ]" for x in lab.character])
+            chars = f"[\n        {chars}\n      ]" if chars else "[]"
+            level = "" if lab.first_level is None else f',\n      "first_level": {lab.first_level}'
+            yield f"{item_sep}{head}{chars}{middle}{level}{tail}"
+            item_sep = ",\n    "
+        yield "[]" if item_sep == "[\n    " else "\n  ]"
+    yield "\n}"
 
 
 def _json_label_pieces(components: tuple, lab: FactorLabel) -> tuple[str, str, str]:
-    # The text of _encode(lab.to_json(components), "    ") before "char"'s
-    # value, between it and "first_level", and after that.
+    # The text of the label's JSON object, nested in the labels array,
+    # before "char"'s value, between it and "first_level", and after that.
     obj = lab.to_json(components)
-    head = '{\n      "stratum": ' + _encode(obj["stratum"], "      ") + ',\n      "char": '
-    middle = (',\n      "provenance": ' + _encode_str(obj["provenance"])
-              + ',\n      "zero": ' + _encode(obj["zero"], "      "))
+    head = '{\n      "stratum": ' + _dumps(obj["stratum"], "      ") + ',\n      "char": '
+    middle = (',\n      "provenance": ' + _dumps(obj["provenance"])
+              + ',\n      "zero": ' + _dumps(obj["zero"]))
     tail = "\n    }"
     if "normalized" in obj:
-        tail = ',\n      "normalized": ' + _encode(obj["normalized"], "      ") + tail
+        tail = ',\n      "normalized": ' + _dumps(obj["normalized"], "      ") + tail
     return head, middle, tail
 
 
 def _stratum_pieces(cache: dict, lab: FactorLabel, make: Callable[[FactorLabel], object]):
     # What make renders of the fields a label shares with the other labels
-    # of its stratum, rendered once.
-    key = (lab.stratum, lab.provenance, lab.zero, lab.normalized)
-    pieces = cache.get(key)
+    # of its stratum (its provenance, zero flag and normalized names follow
+    # from the stratum), rendered once.
+    pieces = cache.get(lab.stratum)
     if pieces is None:
-        pieces = cache[key] = make(lab)
+        pieces = cache[lab.stratum] = make(lab)
     return pieces
 
 
@@ -434,21 +398,18 @@ def _psod_text(desc: PsodDescriptor) -> str:
 
 
 def cmd_decompose(args) -> int:
-    from logsod.complexes import canonical_root_pair, nc_from_json
+    from logsod.complexes import canonical_root_pair, nc_from_json, strictify_nc
     from logsod.decompose import (
-        decompose_finite,
-        decompose_nc,
-        decompose_simplicial_complexified,
-        etale_filter,
+        decompose_finite, decompose_nc, decompose_simplicial_complexified, etale_filter,
     )
 
     data = load_scene(args.scene)
     v = _scene_assignment(data)
-    level = _parse_level(_option(args, data, "level"))
-    if level is None:
-        raise ParseError("a level is required (--level or scene options)")
+    level = _level(args, data)
     prime = _option(args, data, "prime_to")
     kind = data["kind"]
+    if prime is not None and kind in ("nc", "chart"):
+        raise ParseError("the prime filter applies only to snc scenes")
     if kind == "snc":
         cx = _build_snc(data)
         _check_assignment_keys(v, cx)
@@ -459,14 +420,16 @@ def cmd_decompose(args) -> int:
         else:
             report = decompose_finite(cx, level, v)
     elif kind == "nc":
-        if prime is not None:
-            raise ParseError("the prime filter applies only to snc scenes")
         if not isinstance(level, int):
             raise ParseError("nc scenes take a single truncation stage as level")
-        report = decompose_nc(nc_from_json(data), v, level)
+        nc = nc_from_json(data)
+        try:  # The report holds n!: refuse a stage too deep for it before computing n!.
+            _check_digits(f"stage {level}", accumulate(range(1, level + 1), mul))
+        except ValueError:
+            strictify_nc(nc)  # whose refusals come first, as in decompose_nc
+            raise
+        report = decompose_nc(nc, v, level)
     elif kind == "chart":
-        if prime is not None:
-            raise ParseError("the prime filter applies only to snc scenes")
         if not isinstance(level, int):
             raise ParseError("chart scenes take a single cyclic order as level")
         chart = _build_chart(data)
@@ -475,7 +438,10 @@ def cmd_decompose(args) -> int:
         report = decompose_simplicial_complexified(chart, fixed, v, level)
     else:
         raise ParseError("decompose command needs an snc, nc, or chart scene")
-    _emit(args, lambda: _json_chunks(report.to_json()), report.to_text)
+    _check_digits(f"stage {report.truncation}" if report.truncation else "the level", [
+        report.base_value, report.total, *(report.level or ()),
+        *(x for r in report.rows for x in (r.count, r.value, r.contribution))])
+    _emit(args, lambda: (_dumps(report.to_json()),), report.to_text)
     return EXIT_OK
 
 
@@ -500,7 +466,7 @@ def cmd_strictify(args) -> int:
         lines.append(f"strata: {len(snc.strata(proper=True))}")
         return "\n".join(lines)
 
-    _emit(args, lambda: _json_chunks({"complex": snc.to_json(), "log": log.to_json()}), text)
+    _emit(args, lambda: (_dumps({"complex": snc.to_json(), "log": log.to_json()}),), text)
     return EXIT_OK
 
 
@@ -508,7 +474,7 @@ def cmd_selfcheck(args) -> int:
     from logsod.selfcheck import run_selfcheck
 
     report = run_selfcheck(args.exhaustive_level)
-    _emit(args, lambda: _json_chunks(report.to_json()), report.to_text)
+    _emit(args, lambda: (_dumps(report.to_json()),), report.to_text)
     return EXIT_OK if report.passed else EXIT_SELFCHECK
 
 

@@ -60,8 +60,9 @@ class SncComplex(Record, uncompared=("stratum_meta",)):
     """Simple normal crossings combinatorics: components and the set of
     index subsets whose intersection stratum is nonempty.
 
-    stratum_meta may carry per-stratum payloads (names, crossing lists,
-    connected-component counts); it does not affect equality.
+    stratum_meta may carry per-stratum payloads (snc_of_simple lists the
+    crossings that witness each deeper stratum); it does not affect
+    equality.
     """
 
     __slots__ = ("components", "nonempty", "stratum_meta")
@@ -371,11 +372,9 @@ def snc_of_simple(nc: NcComplex) -> SncComplex:
     for s in nc.crossings:
         support = frozenset(s.component_labels)
         nonempty.update(_subsets(support))
-        bucket = meta.setdefault(support, {"crossings": []})
-        bucket["crossings"].append(s.name)
-    for j, bucket in meta.items():
+        meta.setdefault(support, {"crossings": []})["crossings"].append(s.name)
+    for bucket in meta.values():
         bucket["crossings"].sort()
-        bucket["count"] = len(bucket["crossings"])
     return SncComplex(tuple(nc.components), frozenset(nonempty), meta)
 
 
@@ -505,7 +504,6 @@ def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusD
         return _single_chart_pair(chart.monoids[0], prefix="R")
     components: list = []
     nonempty = {frozenset()}
-    meta: dict = {}
     for k, m in enumerate(chart.monoids, start=1):
         cx, piece = _single_chart_pair(m, prefix=f"C{k}.R")
         if piece.invariant_factors:
@@ -514,8 +512,7 @@ def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusD
             )
         components.extend(cx.components)
         nonempty |= cx.nonempty
-        meta.update(cx.stratum_meta)
-    snc = SncComplex(tuple(components), frozenset(nonempty), meta)
+    snc = SncComplex(tuple(components), frozenset(nonempty))
     return snc, FixedLocusData(tuple(components), (), (), ())
 
 
@@ -523,13 +520,8 @@ def _single_chart_pair(m: ToricMonoid, prefix: str) -> tuple[SncComplex, FixedLo
     from logsod.monoids import canonical_kummer_extension
 
     ext = canonical_kummer_extension(m)
-    rays = ext.rays
-    labels = tuple(f"{prefix}{j}" for j in range(1, len(rays) + 1))
+    labels = tuple(f"{prefix}{j}" for j in range(1, len(ext.rays) + 1))
     nonempty = frozenset(_subsets(labels))
-    meta = {
-        frozenset({lab}): {"ray": list(ray)}
-        for lab, ray in zip(labels, rays)
-    }
     factors, weights = _quotient_weights(m, ext)
     # g moves coordinate j when sum_k g_k w_kj / d_k is not an integer,
     # tested over the common denominator lcm(d_k)
@@ -545,7 +537,7 @@ def _single_chart_pair(m: ToricMonoid, prefix: str) -> tuple[SncComplex, FixedLo
         )
         fixed.append((g, moved))
     data = FixedLocusData(labels, factors, weights, tuple(fixed))
-    return SncComplex(labels, nonempty, meta), data
+    return SncComplex(labels, nonempty), data
 
 
 def _quotient_weights(m: ToricMonoid, ext) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

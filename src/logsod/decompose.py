@@ -33,7 +33,7 @@ from logsod.errors import (
     UnsupportedAction,
     UnsupportedConfiguration,
 )
-from logsod.orders import _is_prime
+from logsod.orders import _is_prime, stage_level
 
 __all__ = [
     "DecompositionReport",
@@ -210,7 +210,7 @@ class DecompositionReport(Record):
         _set(self, "truncation", truncation)
         _set(self, "notes", notes)
 
-    def _encode(self, v: Value):
+    def _value_json(self, v: Value):
         return v if self.value_system == "int" else list(v)
 
     def to_json(self) -> dict:
@@ -219,8 +219,8 @@ class DecompositionReport(Record):
             row = {
                 "stratum": r.stratum,
                 "count": r.count,
-                "value": self._encode(r.value),
-                "contribution": self._encode(r.contribution),
+                "value": self._value_json(r.value),
+                "contribution": self._value_json(r.contribution),
             }
             if r.counting_function is not None:
                 row["counting_function"] = r.counting_function
@@ -229,9 +229,9 @@ class DecompositionReport(Record):
             "kind": self.kind,
             "value_system": self.value_system,
             "invariant": self.invariant,
-            "base": self._encode(self.base_value),
+            "base": self._value_json(self.base_value),
             "rows": rows,
-            "total": self._encode(self.total),
+            "total": self._value_json(self.total),
             "notes": list(self.notes),
         }
         if self.level is not None:
@@ -333,17 +333,15 @@ def decompose_kfl(
 ) -> DecompositionReport:
     """Kummer-flat truncation: counting functions (n!-1)^|J| per stratum,
     evaluated at the given stage of the tower."""
-    if truncation < 1:
-        raise ValueError("truncation must be a positive integer")
-    fact = math.factorial(truncation)
+    level = stage_level(truncation, len(cx.components))
     return _assemble(
         "kfl",
         v,
         (
-            (cx.stratum_name(j), (fact - 1) ** len(j), f"(n!-1)^{len(j)}")
+            (cx.stratum_name(j), (level[0] - 1) ** len(j), f"(n!-1)^{len(j)}")
             for j in _proper_strata(cx)
         ),
-        level=(fact,) * len(cx.components),
+        level=level,
         truncation=truncation,
         notes=(
             "untruncated: one copy of v(D_J) per nonzero character vector "
@@ -367,9 +365,7 @@ def decompose_nc(
     """
     simple, log = strictify_nc(nc)
     snc = snc_of_simple(simple)
-    if truncation < 1:
-        raise ValueError("truncation must be a positive integer")
-    fact = math.factorial(truncation)
+    level = stage_level(truncation, len(snc.components))
     mults: dict[str, int] = {}
     # In the factorial label order, of two strata the first labels of the
     # one holding the first component where they differ come first.  Walk
@@ -380,7 +376,7 @@ def decompose_nc(
         key=lambda s: tuple(c not in s for c in snc.components),
     )
     for s in walk:
-        count = (fact - 1) ** len(s)
+        count = (level[0] - 1) ** len(s)
         if not count:
             continue
         names = normalized_names(nc, simple, snc, s)
@@ -397,7 +393,7 @@ def decompose_nc(
         "nc",
         v,
         rows,
-        level=(fact,) * len(snc.components),
+        level=level,
         truncation=truncation,
         notes=(
             "multiplicities are truncations induced by the fixed "
@@ -465,7 +461,7 @@ def etale_filter(
     if (level is None) == (truncation is None):
         raise ValueError("give exactly one of level and truncation")
     if truncation is not None:
-        level = (math.factorial(truncation),) * len(cx.components)
+        level = stage_level(truncation, len(cx.components))
     level = tuple(int(r) for r in level)
     if len(level) != len(cx.components):
         raise ValueError("one cyclic order per component required")

@@ -43,6 +43,7 @@ __all__ = [
     "join",
     "mod_one",
     "normal_factorial_form",
+    "stage_level",
     "strata_preorder",
     "support_partition",
     "vector_first_level",
@@ -160,6 +161,15 @@ def _tower_level(q: int) -> tuple[int, int]:
         n += 1
         f *= n
     return n, f
+
+
+def stage_level(stage: int, k: int) -> tuple[int, ...]:
+    """(n!,) * k, the level of stage n of the factorial tower over k
+    components.  Zero components take any positive stage, and n! is not
+    computed for them."""
+    if stage < 1:
+        raise ValueError("truncation must be a positive integer")
+    return (math.factorial(stage),) * k if k else ()
 
 
 def normal_factorial_form(x: Character) -> FactorialForm:
@@ -531,6 +541,15 @@ def _factorial_axis(r: int) -> tuple[list[Character], list[int]]:
         chars.append(c)
         levels.append(level or _tower_level(c.q)[0])
     return chars, levels
+
+
+def _standard_axis(r: int) -> list[Character]:
+    """Z_r in the standard order: -(r-1)/r, ..., -1/r, 0."""
+    axis = []
+    for p in range(r - 1, -1, -1):
+        g = math.gcd(p, r)
+        axis.append(Character(p // g, r // g))
+    return axis
 
 
 def _is_prime(n: int) -> bool:

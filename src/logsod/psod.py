@@ -11,6 +11,8 @@ checkable.
 from __future__ import annotations
 
 import math
+import sys
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from logsod import Record
@@ -28,10 +30,13 @@ from logsod.complexes import (
 from logsod.errors import NonDiagonalLevel, TooManyLabels
 from logsod.orders import (
     CharVector,
+    _standard_axis,
     cmp_factorial_vector,
     enumerate_characters,
     factorial_vector_key,
     Rel,
+    stage_level,
+    vector_first_level,
 )
 
 __all__ = [
@@ -132,17 +137,13 @@ class PsodDescriptor(Record, unhashed=("names",)):
             raise ValueError("cyclic orders must be positive")
         if len(set(components)) != len(components):
             raise ValueError("component labels must be distinct")
-        if truncation is not None:
-            fact = math.factorial(truncation)
-            if any(r != fact for r in level):
-                raise ValueError("truncation descriptors live at diagonal n! level")
+        if truncation is not None and (truncation < 0 or any(
+                _is_factorial(r) != max(truncation, 1) for r in level)):
+            # 0! = 1! = 1, which _is_factorial reads as 1!.
+            raise ValueError("truncation descriptors live at diagonal n! level")
         count = math.prod(level)
         if count > LABEL_CAP:
-            raise TooManyLabels(
-                f"level {list(level)} has {count} labels, more than the "
-                f"{LABEL_CAP} a descriptor may build; 'logsod decompose' counts "
-                "them without building them"
-            )
+            raise _too_many(f"level {list(level)}", count)
         _set(self, "components", components)
         _set(self, "nonempty", nonempty)
         _set(self, "order", order)
@@ -151,17 +152,17 @@ class PsodDescriptor(Record, unhashed=("names",)):
         _set(self, "base_breakdown", base_breakdown)
         _set(self, "names", names)
 
-    def characters(self) -> list[tuple[CharVector, int]]:
-        """The labels' characters in order, each with its first level."""
-        chars = enumerate_characters(self.level, range(1, len(self.level) + 1))
-        if self.order == "standard":
-            # Lexicographic by coordinate value, a deterministic linear
-            # extension of the componentwise standard order.  Each value
-            # -p/q is read as the integer -p * (r / q) over its component's
-            # order r, which q divides.
-            level = self.level
-            chars.sort(key=lambda pair: [-c.p * (r // c.q) for c, r in zip(pair[0], level)])
-        return chars
+    def characters(self) -> list[tuple[CharVector, Optional[int]]]:
+        """The labels' characters in order, each with its first level; in a
+        standard descriptor without a truncation, with None."""
+        if self.order == "factorial":
+            return enumerate_characters(self.level, range(1, len(self.level) + 1))
+        # Lexicographic by coordinate value, a deterministic linear extension
+        # of the componentwise standard order: the product of the axes.
+        chars = product(*map(_standard_axis, self.level))
+        if self.truncation is None:
+            return [(chi, None) for chi in chars]
+        return [(chi, vector_first_level(chi)) for chi in chars]
 
     def iter_labels(self) -> Iterator[FactorLabel]:
         """The labels in order, each built when it is asked for.  The labels
@@ -226,10 +227,8 @@ def psod_single(n: int) -> PsodDescriptor:
     The n=3 sequence is the degree-6 chain -5/6, -2/6, -4/6, -1/6, -3/6, 0;
     the zero character is the base factor and comes last.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
     cx = _single_divisor_complex()
-    return PsodDescriptor(cx.components, cx.nonempty, "factorial", (math.factorial(n),))
+    return PsodDescriptor(cx.components, cx.nonempty, "factorial", _stage_level(n, 1))
 
 
 def psod_bls(r: int) -> PsodDescriptor:
@@ -294,9 +293,7 @@ def psod_snc(cx: SncComplex, level: Iterable[int], order: str = "factorial") -> 
 def psod_infinite(cx: SncComplex, truncation: int) -> PsodDescriptor:
     """Stage n of the infinite tower: the level-n! factorial descriptor with
     each label annotated by the first stage where it appears."""
-    if truncation < 1:
-        raise ValueError("truncation must be a positive integer")
-    level = (math.factorial(truncation),) * len(cx.components)
+    level = _stage_level(truncation, len(cx.components))
     return PsodDescriptor(cx.components, cx.nonempty, "factorial", level, truncation)
 
 
@@ -310,6 +307,35 @@ LABEL_CAP = 600_000
 FULL_CHECK_CAP = 40_000
 SUBLEVEL_CHECK_CAP = 600_000
 SAMPLE_STRIDE = 7919
+
+
+def _too_many(what: str, count) -> TooManyLabels:
+    return TooManyLabels(
+        f"{what} has {count} labels, more than the {LABEL_CAP} a descriptor may "
+        "build; 'logsod decompose' counts them without building them"
+    )
+
+
+def _stage_level(stage: int, k: int) -> tuple[int, ...]:
+    """stage_level(stage, k), refused when its n!**k labels are more than
+    LABEL_CAP.  n! is computed only as far as the refusal needs: to state
+    the count, or to bound it when it has more digits than Python writes as
+    text (sys.get_int_max_str_digits())."""
+    if stage < 1 or not k:
+        return stage_level(stage, k)
+    n = fact = 1
+    while n < stage and fact ** k <= LABEL_CAP:
+        n += 1
+        fact *= n
+    if fact ** k <= LABEL_CAP:
+        return (fact,) * k
+    digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    bound = 10 ** digits
+    while n < stage and fact ** k < bound:
+        n += 1
+        fact *= n
+    count = fact ** k
+    raise _too_many(f"stage {stage}", count if count < bound else f"over 10^{digits}")
 
 
 def embedding_check(
@@ -421,9 +447,7 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     """
     simple, log = strictify_nc(nc)
     snc = snc_of_simple(simple)
-    if truncation < 1:
-        raise ValueError("truncation must be a positive integer")
-    level = (math.factorial(truncation),) * len(snc.components)
+    level = _stage_level(truncation, len(snc.components))
     names = {s: normalized_names(nc, simple, snc, s) for s in snc.nonempty}
     breakdown = tuple((step.stratum, step.codim - 1) for step in log.steps)
     return PsodDescriptor(

@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logsod.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFCHECK, _json_chunks, main
+from logsod.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFCHECK, main
 from logsod.complexes import nc_from_json, snc_from_divisors
 from logsod.psod import psod_infinite, psod_nc, psod_snc
 from logsod.selfcheck import CheckResult, SelfcheckReport
@@ -179,6 +179,35 @@ class TestResourceLimits:
         assert out == ""
         assert err.startswith("error: ") and "479001600" in err
         assert "logsod decompose" in err
+
+    @pytest.mark.parametrize("scene, argv, stage", [
+        (LINE_SCENE, ["psod", "--level", "20000"], "stage 20000 "),
+        (LINE_SCENE, ["psod", "--level", "10000000"], "stage 10000000 "),
+        (LINE_SCENE, ["psod", "--level", "100000000"], "stage 100000000 "),
+        (NODAL_SCENE, ["psod", "--level", "100000000"], "stage 100000000 "),
+        (NODAL_SCENE, ["decompose", "--level", "1000"], "stage 1000 "),
+        (NODAL_SCENE, ["decompose", "--level", "100000000"], "stage 100000000 "),
+        # The counts fit, but not their contributions.
+        ({**NODAL_SCENE, "assignment": {"value_system": "int", "values": {
+            **NODAL_SCENE["assignment"]["values"], "N@1": 10**4000}}},
+         ["decompose", "--level", "200"], "stage 200 "),
+        (P2_SCENE, ["decompose", "--level", "1" + "0" * 2200], "the level "),
+    ])
+    def test_huge_stages_are_domain_errors(self, tmp_path, capsys, scene, argv, stage):
+        # Refused before n! is computed where it is too long to write, and
+        # before any output, in the library's words: Python's own refusal to
+        # write a long int names sys.set_int_max_str_digits.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [argv[0], write_scene(tmp_path, scene), *argv[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith(f"error: {stage}") and "sys." not in err and err.count("\n") == 1
+
+    def test_strictify_refusals_come_before_the_stage_check(self, tmp_path, capsys):
+        deep = write_scene(tmp_path, {**NODAL_SCENE, "ambient_dim": 3})
+        shallow = run_cli(capsys, ["decompose", deep, "--level", "3"])
+        assert shallow[0] == EXIT_DOMAIN and "stage" not in shallow[2]
+        assert run_cli(capsys, ["decompose", deep, "--level", "100000000"]) == shallow
 
 
 class TestPsodCommand:
@@ -487,25 +516,6 @@ class TestStreamedJson:
         assert '"labels": []' in "".join(_psod_json(desc))
         assert_same_text("".join(_psod_json(desc)) + "\n", self.expected(desc))
 
-    _values = st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-        lambda inner: (
-            st.lists(inner, max_size=3)
-            | st.tuples(inner, inner)
-            | st.dictionaries(st.text(max_size=3), inner, max_size=3)
-            | st.dictionaries(st.integers(-2, 2), inner, max_size=2)
-        ),
-        max_leaves=10,
-    )
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.text(max_size=4), _values, st.booleans()), max_size=4))
-    def test_chunks_equal_json_dumps(self, fields):
-        # An iterator value is written as the list of its items.
-        payload = {k: iter(v) if lazy and isinstance(v, list) else v for k, v, lazy in fields}
-        whole = {k: v for k, v, _ in fields}
-        assert_same_text("".join(_json_chunks(payload)), json.dumps(whole, indent=2, ensure_ascii=False))
-
 
 def text_by_label(desc) -> str:
     """psod's text rendering, one label at a time through str(Character):
@@ -543,8 +553,12 @@ class _Discard(io.TextIOBase):
 def test_psod_json_peak_memory_is_near_the_descriptor(tmp_path):
     """Streaming keeps psod's peak near the size of the descriptor's list of
     characters: no list of labels or label dicts, no encoder chunk list and
-    no document string.  Garbage is collected before each reading, so that
-    what earlier tests left is not collected inside a measured window."""
+    no document string.  What the process holds beyond that list is bounded
+    per label, so that a smaller list is not punished.  At level 7 it is
+    60-64 B a label on Python 3.10 to 3.13; holding the labels as well
+    makes it 119 B, and holding the document 345 B.
+    Garbage is collected before each reading, so that what earlier tests
+    left is not collected inside a measured window."""
     scene = write_scene(tmp_path, LINE_SCENE)
     with redirect_stdout(_Discard()):
         assert main(["psod", scene, "--level", "2"]) == EXIT_OK  # loads the schema
@@ -556,6 +570,7 @@ def test_psod_json_peak_memory_is_near_the_descriptor(tmp_path):
         chars = psod_infinite(cx, 7).characters()
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - base
+        labels = len(chars)
         del chars
         gc.collect()
         tracemalloc.reset_peak()
@@ -566,7 +581,7 @@ def test_psod_json_peak_memory_is_near_the_descriptor(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == EXIT_OK
-    assert peak < 1.5 * retained, (peak, retained)
+    assert (peak - retained) / labels < 90, (peak, retained, labels)
 
 
 FUZZ_SCENES = scenes(st.integers(-3, 3), st.integers(1, 3))

@@ -196,9 +196,7 @@ class TestStrictify:
         assert log.steps[0] == BlowupStep("N", 2, "E1")
         assert set(snc.components) == {"C", "E1"}
         assert snc.is_nonempty({"C", "E1"})
-        meta = snc.stratum_meta[frozenset({"C", "E1"})]
-        assert meta["count"] == 2
-        assert meta["crossings"] == ["N.1", "N.2"]
+        assert snc.stratum_meta[frozenset({"C", "E1"})] == {"crossings": ["N.1", "N.2"]}
 
     def test_nodal_rewritten_complex(self):
         simple, log = strictify_nc(NODAL)
@@ -226,8 +224,7 @@ class TestStrictify:
         )
         snc, log = strictify(triple)
         assert [s.codim for s in log.steps] == [3]
-        meta = snc.stratum_meta[frozenset({"C", "E1"})]
-        assert meta["count"] == 3
+        assert snc.stratum_meta[frozenset({"C", "E1"})] == {"crossings": ["T.1", "T.2", "T.3"]}
 
     def test_deepest_first(self):
         cx = NcComplex(
@@ -247,7 +244,7 @@ class TestStrictify:
         snc, log = strictify(SIMPLE_X)
         assert log.steps == ()
         assert set(snc.components) == {"A", "B"}
-        assert snc.stratum_meta[frozenset({"A", "B"})]["count"] == 1
+        assert snc.stratum_meta[frozenset({"A", "B"})] == {"crossings": ["S"]}
 
     def test_exceptional_names_avoid_collisions(self):
         cx = NcComplex(
@@ -303,8 +300,8 @@ class TestCanonicalRootPair:
         assert data.invariant_factors == (2,)
         assert data.weights == ((1, 1),)
         assert data.fixed_components == (((1,), frozenset({"R1", "R2"})),)
-        assert snc.stratum_meta[frozenset({"R1"})]["ray"] == [0, 2]
-        assert snc.stratum_meta[frozenset({"R2"})]["ray"] == [2, 0]
+        # R1, R2 name the extremal rays in lexicographic order.
+        assert canonical_kummer_extension(A1).rays == ((0, 2), (2, 0))
 
     def test_free_chart_is_trivial(self):
         snc, data = canonical_root_pair(SimplicialChart((FREE2,)))

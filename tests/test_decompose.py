@@ -281,6 +281,21 @@ class TestDecomposeKfl:
         with pytest.raises(ValueError):
             decompose_kfl(single_divisor(), iv({"X": 2, "D_{D}": 1}), 0)
 
+    def test_deep_stages_are_counted_exactly(self):
+        # Counts with more digits than Python writes as text are computed all
+        # the same; only the command line refuses to write them.
+        m = math.factorial(1000) - 1
+        report = decompose_kfl(three_lines(), iv(THREE_LINES_V), 1000)
+        assert report.level == (m + 1,) * 3
+        assert count_of(report, "D_{1,2}") == m**2
+        assert report.total == 3 + 3 * 2 * m + 3 * m**2
+        report = decompose_nc(NODAL, iv(NODAL_V), 1000)
+        assert count_of(report, "N@1") == m**2
+
+    def test_zero_components_take_any_stage(self):
+        report = decompose_kfl(snc_from_divisors((), [[]]), iv({"X": 4}), 10**7)
+        assert report.level == () and report.rows == () and report.total == 4
+
 
 class TestDecomposeNc:
     def test_nodal_closed_form(self):
@@ -306,6 +321,12 @@ class TestDecomposeNc:
             ("N@1", 1, None),
             ("N@2", 1, None),
         ]
+
+    def test_strictify_errors_come_before_the_stage_check(self):
+        deep = NcComplex(("C",), (Crossing("N", (("C", 1), ("C", 2))),), ambient_dim=3)
+        for stage in (0, 10**7):
+            with pytest.raises(UnsupportedConfiguration):
+                decompose_nc(deep, iv(NODAL_V), stage)
 
     def test_blowup_row_counts_codim_minus_one(self):
         v = iv({"X": 1, "T": 1, "C": 0, "E1": 0, "T@1": 0, "T@2": 0, "T@3": 0})
@@ -495,6 +516,8 @@ class TestEtaleFilter:
         assert report.total == 4
         same = etale_filter(cx, v, 2, level=(6,))
         assert report.total == same.total
+        with pytest.raises(ValueError, match="^truncation must be a positive integer$"):
+            etale_filter(cx, v, 2, truncation=0)
 
     def test_exactly_one_selector(self):
         v = iv({"X": 2, "D_{D}": 1})

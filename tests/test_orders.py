@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from logsod.orders import (
     join,
     mod_one,
     normal_factorial_form,
+    stage_level,
     strata_preorder,
     support_partition,
     vector_first_level,
@@ -132,6 +134,26 @@ class TestNormalFactorialForm:
                         FactorialForm(p, n)
                 else:
                     assert FactorialForm(p, n).value == -red
+
+
+class TestStageLevel:
+    def test_levels(self):
+        assert stage_level(1, 2) == (1, 1)
+        assert stage_level(4, 3) == (24, 24, 24)
+        # Levels too long to write as text are computed all the same.
+        assert stage_level(2000, 2) == (math.factorial(2000),) * 2
+
+    @pytest.mark.parametrize("stage", [0, -3])
+    def test_stage_must_be_positive(self, stage):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="^truncation must be a positive integer$"):
+                stage_level(stage, k)
+
+    @pytest.mark.parametrize("stage", [10**8, 10**9])
+    def test_zero_components_take_any_stage_at_once(self, stage):
+        start = time.perf_counter()
+        assert stage_level(stage, 0) == ()
+        assert time.perf_counter() - start < 0.1
 
 
 class TestStandardOrder:

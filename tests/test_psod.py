@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
+import time
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -26,7 +28,7 @@ from logsod.complexes import (
 )
 from logsod.errors import LogsodError, NonDiagonalLevel, TooManyLabels, UnsupportedConfiguration
 from logsod.monoids import ToricMonoid
-from logsod.orders import support_partition, vector_first_level
+from logsod.orders import Character, support_partition, vector_first_level
 from logsod.psod import (
     LABEL_CAP,
     SUBLEVEL_CHECK_CAP,
@@ -215,6 +217,30 @@ class TestPsodSnc:
                 if a != b and all(x <= y for x, y in zip(a, b)):
                     assert index[a] < index[b]
 
+    @pytest.mark.parametrize("level", [(1,), (13,), (1009,), (2, 1), (3, 4), (6, 5), (2, 3, 2)])
+    def test_standard_order_is_built_without_the_factorial_axis(self, monkeypatch, level):
+        # The standard order is the product of the axes -(r-1)/r, ..., 0,
+        # so it never works modulo r!, which for a prime r is the whole of r!.
+        def refuse(r):
+            raise AssertionError(f"factorial axis built for {r}")
+
+        monkeypatch.setattr("logsod.orders._factorial_axis", refuse)
+        cx = snc_from_divisors(tuple(range(len(level))), [[]])
+        chars = PsodDescriptor(cx.components, cx.nonempty, "standard", level).characters()
+        assert {first for _, first in chars} == {None}
+        by_value = sorted(
+            product(*[[Character.of(Fraction(-p, r)) for p in range(r)] for r in level]),
+            key=lambda chi: [c.value for c in chi],
+        )
+        assert [chi for chi, _ in chars] == by_value
+
+    def test_standard_first_levels_come_with_a_truncation(self):
+        cx = two_divisors()
+        desc = PsodDescriptor(cx.components, cx.nonempty, "standard", (6, 6), truncation=3)
+        chars = desc.characters()
+        assert [chi for chi, _ in chars] == [chi for chi, _ in psod_snc(cx, (6, 6), "standard").characters()]
+        assert all(first == vector_first_level(chi) for chi, first in chars)
+
     def test_factorial_needs_diagonal_factorial_level(self):
         cx = two_divisors()
         with pytest.raises(NonDiagonalLevel):
@@ -284,6 +310,13 @@ class TestDescriptorValidation:
             PsodDescriptor(cx.components, cx.nonempty, "standard", (0,))
         with pytest.raises(ValueError, match="diagonal n! level"):
             PsodDescriptor(cx.components, cx.nonempty, "factorial", (4,), truncation=2)
+        # 0! = 1! = 1: stage 0 and stage 1 both live at level 1.
+        for stage in (0, 1):
+            desc = PsodDescriptor(cx.components, cx.nonempty, "factorial", (1,), truncation=stage)
+            assert desc.truncation == stage
+        for stage, level in ((0, 2), (-1, 1)):
+            with pytest.raises(ValueError, match="diagonal n! level"):
+                PsodDescriptor(cx.components, cx.nonempty, "factorial", (level,), truncation=stage)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -320,6 +353,42 @@ class TestLabelCap:
         with pytest.raises(TooManyLabels, match=f"has {count} labels") as info:
             build()
         assert "logsod decompose" in str(info.value)
+
+    @pytest.mark.parametrize("build, stage", [
+        (lambda: psod_infinite(single_divisor(), 20_000), 20_000),
+        (lambda: psod_single(10**7), 10**7),
+        (lambda: psod_infinite(single_divisor(), 10**8), 10**8),
+        (lambda: psod_infinite(three_lines(), 10**9), 10**9),
+        (lambda: psod_nc(NODAL, 10**8), 10**8),
+    ])
+    def test_huge_stages_refused_before_their_factorial(self, build, stage):
+        # A count too long to write as text is bounded by a power of ten, and
+        # n! is computed only as far as that bound, so each refusal is
+        # immediate.
+        start = time.perf_counter()
+        with pytest.raises(TooManyLabels, match=(
+                f"^stage {stage} has over 10\\^4300 labels, more than the 600000 a descriptor "
+                "may build; 'logsod decompose' counts them without building them$")):
+            build()
+        assert time.perf_counter() - start < 0.5
+
+    def test_counts_are_written_up_to_the_int_text_limit(self, monkeypatch):
+        # 200! has 375 digits, and 200!**2 750.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 700)
+        with pytest.raises(TooManyLabels, match=f"^stage 200 has {math.factorial(200)} labels"):
+            psod_infinite(single_divisor(), 200)
+        with pytest.raises(TooManyLabels, match="^stage 200 has over 10\\^700 labels"):
+            psod_infinite(two_divisors(), 200)
+        # Without a limit, counts are bounded where Python's default limit is.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        with pytest.raises(TooManyLabels, match="^stage 2000 has over 10\\^4300 labels"):
+            psod_infinite(single_divisor(), 2000)
+
+    def test_zero_components_take_any_stage(self):
+        empty = snc_from_divisors((), [[]])
+        desc = psod_infinite(empty, 10**7)
+        assert desc.level == () and desc.truncation == 10**7
+        assert [lab.character for lab in desc.labels] == [()]
 
 
 class TestPsodInfinite:
@@ -480,6 +549,8 @@ class TestPsodNc:
         # Strictification runs before the truncation is checked.
         with pytest.raises(UnsupportedConfiguration):
             psod_nc(deep, 0)
+        with pytest.raises(UnsupportedConfiguration):
+            psod_nc(deep, 10**7)
 
 
 class TestPsodSimplicial:
