@@ -316,26 +316,41 @@ def _too_many(what: str, count) -> TooManyLabels:
     )
 
 
-def _stage_level(stage: int, k: int) -> tuple[int, ...]:
-    """stage_level(stage, k), refused when its n!**k labels are more than
-    LABEL_CAP.  n! is computed only as far as the refusal needs: to state
-    the count, or to bound it when it has more digits than Python writes as
-    text (sys.get_int_max_str_digits())."""
-    if stage < 1 or not k:
-        return stage_level(stage, k)
+def _stage_fits(stage: int, k: int, cap: int) -> bool:
+    """True when stage n of the tower over k components has at most cap
+    labels, n!**k; n! is computed only until the count passes cap.  Zero
+    components have one label at every stage."""
+    if not k:
+        return True
     n = fact = 1
-    while n < stage and fact ** k <= LABEL_CAP:
+    while fact ** k <= cap:
+        if n >= stage:
+            return True
         n += 1
         fact *= n
-    if fact ** k <= LABEL_CAP:
-        return (fact,) * k
+    return False
+
+
+def _stage_count(stage: int, k: int) -> int | str:
+    """The n!**k labels of stage n, or the bound "over 10^d" when the count
+    has more digits than Python writes as text (sys.get_int_max_str_digits());
+    n! is computed only as far as that bound."""
     digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
     bound = 10 ** digits
+    n = fact = 1
     while n < stage and fact ** k < bound:
         n += 1
         fact *= n
     count = fact ** k
-    raise _too_many(f"stage {stage}", count if count < bound else f"over 10^{digits}")
+    return count if count < bound else f"over 10^{digits}"
+
+
+def _stage_level(stage: int, k: int) -> tuple[int, ...]:
+    """stage_level(stage, k), refused when its n!**k labels are more than
+    LABEL_CAP, before n! is computed in full."""
+    if _stage_fits(stage, k, LABEL_CAP):
+        return stage_level(stage, k)
+    raise _too_many(f"stage {stage}", _stage_count(stage, k))
 
 
 def embedding_check(
@@ -357,15 +372,13 @@ def embedding_check(
     if n < 2:
         raise ValueError("embedding needs n >= 2")
     k = len(cx.components)
-    big_count = math.factorial(n) ** k
-    small_count = math.factorial(n - 1) ** k
     report: dict = {"passed": True, "level": n, "counterexamples": []}
 
     def fail(kind, *items):
         report["passed"] = False
         report["counterexamples"].append((kind, *items))
 
-    if big_count <= FULL_CHECK_CAP:
+    if _stage_fits(n, k, FULL_CHECK_CAP):
         report["mode"] = "full"
         big = level_descriptor or psod_infinite(cx, n)
         small = sublevel_descriptor or psod_infinite(cx, n - 1)
@@ -383,7 +396,7 @@ def embedding_check(
                     break
         return report
 
-    if small_count <= SUBLEVEL_CHECK_CAP:
+    if _stage_fits(n - 1, k, SUBLEVEL_CHECK_CAP):
         report["mode"] = "sublevel"
         small = sublevel_descriptor or psod_infinite(cx, n - 1)
         fact = math.factorial(n)
@@ -405,8 +418,8 @@ def embedding_check(
     if k == 1:
         # The sampled mode rests on the scalar check, which is this call.
         raise TooManyLabels(
-            f"embedding check at stage {n} needs the {small_count} labels of "
-            f"stage {n - 1}, more than {SUBLEVEL_CHECK_CAP}"
+            f"embedding check at stage {n} needs the labels of stage {n - 1}: "
+            f"{_stage_count(n - 1, 1)}, more than {SUBLEVEL_CHECK_CAP}"
         )
     report["mode"] = "sampled"
     scalar = embedding_check(_single_divisor_complex(), n)

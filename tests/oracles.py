@@ -2,10 +2,13 @@
 
 Everything here is deliberately written from first principles, without
 importing the production kernel, so that each check compares two unrelated
-routes to the same answer.  There are two exceptions.  The saturation oracle
+routes to the same answer.  There are three exceptions.  The saturation oracle
 decides cone membership with one exact LP per box point, through the
 production `nonneg_combination` and `contains`, which the facet-normal route
-under test does not use.  The enumeration oracle sorts by the production
+under test does not use.  The ray and face oracles answer each direction and
+each ray subset with one exact LP, through `nonneg_combination` and
+`separating_functional`, where the production kernel reads integer facet
+normals.  The enumeration oracle sorts by the production
 `factorial_vector_key`, which `enumerate_characters` does not use.
 """
 
@@ -380,3 +383,55 @@ def is_saturated_by_lp(m) -> bool:
         raise ZeroMonoid("monoid has no generators")
     lattice = group_lattice(m)
     return all(contains(m, g) for g in cone_points_minimal_by_lp(m, lattice))
+
+
+def extremal_rays_by_lp(m) -> list[tuple[int, ...]]:
+    """Extremal rays with one exact LP per generator direction: a direction
+    is extremal when it is not a nonnegative combination of the generators
+    off its ray.  Each is scaled to its primitive multiple in the group
+    lattice."""
+    from logsod.errors import ZeroMonoid
+    from logsod.intlinalg import hermite_row_basis, in_row_span, nonneg_combination
+
+    if not m.generators:
+        raise ZeroMonoid("monoid has no generators")
+    lattice = hermite_row_basis(m.generators, m.ambient_rank)
+    rays = []
+    for d in sorted({primitive(g) for g in m.generators}):
+        others = [g for g in m.generators if primitive(g) != d]
+        if others and nonneg_combination(others, d) is not None:
+            continue
+        t = 1
+        while not in_row_span(lattice, [t * x for x in d]):
+            t += 1
+        rays.append(tuple(t * x for x in d))
+    return sorted(rays)
+
+
+def face_strata_by_lp(m) -> tuple[tuple, tuple[int, ...]]:
+    """Faces of the cone as (elements, rows) of the inclusion preorder, with
+    one exact LP per ray subset: a subset is a face when some functional
+    vanishes on it and is positive on every other ray.  Faces are sorted by
+    dimension, then lexicographically; bit j of row i says face i lies in
+    face j."""
+    from logsod.errors import TooManyFaces
+    from logsod.intlinalg import separating_functional
+    from logsod.monoids import FACE_SUBSET_CAP
+
+    rays = extremal_rays_by_lp(m)
+    if 2 ** len(rays) > FACE_SUBSET_CAP:
+        raise TooManyFaces(
+            f"a cone with {len(rays)} extremal rays has {2 ** len(rays)} ray "
+            f"subsets to test for faces, more than the {FACE_SUBSET_CAP} allowed"
+        )
+    faces = [tuple(rays)]
+    for k in range(len(rays)):
+        for sub in combinations(rays, k):
+            rest = [r for r in rays if r not in sub]
+            if separating_functional(list(sub), rest, m.ambient_rank) is not None:
+                faces.append(sub)
+    faces.sort(key=lambda f: (rank([list(map(Fraction, v)) for v in f]), f))
+    rows = tuple(
+        sum(1 << j for j, b in enumerate(faces) if set(a) <= set(b)) for a in faces
+    )
+    return tuple(faces), rows

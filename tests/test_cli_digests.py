@@ -1,10 +1,13 @@
 """Byte identity of the CLI's output: SHA-256 digests of stdout for psod,
-decompose and strictify on the test scenes, in JSON and text.
+decompose, strictify, monoid and kummer on the test scenes, in JSON and text.
 
 The digests were recorded from the commands' output before the psod label
 generator and writer were rewritten, but for the JSON of the two psod-odd
 calls, re-pinned when psod JSON began to list a label's stratum in
-component order; any change to the bytes of these outputs has to be
+component order.  The monoid and kummer digests were recorded before
+extremal rays and faces were read off integer facet normals; kummer has no
+square-cone pin, as that cone is not simplicial and kummer refuses it
+(tests/test_cli.py checks the refusal).  Any change to the bytes of these outputs has to be
 deliberate and shows here.
 """
 
@@ -19,13 +22,28 @@ from unittest import mock
 import pytest
 
 from logsod.cli import EXIT_OK, main
-from test_cli import CHART_SCENE, LINE_SCENE, NODAL_SCENE, P2_SCENE, TWO_NODE_SCENE
+from test_cli import (
+    A1_SCENE,
+    CHART_SCENE,
+    LINE_SCENE,
+    NODAL_SCENE,
+    P2_SCENE,
+    SQUARE_SCENE,
+    THIRD_SCENE,
+    TWO_NODE_SCENE,
+)
 
 # Labels that need JSON escapes and non-ASCII text, in no sorted order.
 ODD_SCENE = {
     "kind": "snc",
     "components": ['say "hi"', "Dé", 7],
     "nonempty": [[], ['say "hi"'], ["Dé"], [7], ["Dé", 7]],
+}
+
+DOUBLED_SIMPLEX_SCENE = {
+    "kind": "monoid",
+    "rank": 3,
+    "generators": [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
 }
 
 CALLS = {
@@ -48,6 +66,13 @@ CALLS = {
     "decompose-chart-6": (CHART_SCENE, ["decompose", "--level", "6"]),
     "strictify-nodal": (NODAL_SCENE, ["strictify"]),
     "strictify-two-node": (TWO_NODE_SCENE, ["strictify"]),
+    "monoid-readme": (A1_SCENE, ["monoid"]),
+    "monoid-third": (THIRD_SCENE, ["monoid"]),
+    "monoid-doubled-simplex": (DOUBLED_SIMPLEX_SCENE, ["monoid"]),
+    "monoid-square": (SQUARE_SCENE, ["monoid"]),
+    "kummer-readme": (A1_SCENE, ["kummer"]),
+    "kummer-third": (THIRD_SCENE, ["kummer"]),
+    "kummer-doubled-simplex": (DOUBLED_SIMPLEX_SCENE, ["kummer"]),
 }
 
 DIGESTS = {
@@ -61,6 +86,20 @@ DIGESTS = {
     "decompose-three-5:text": "39b2950cc917366a053552fe28437cda1cc0efbba4e47fb563b0bbcda6b4a492",
     "decompose-three-6-prime-2:json": "63bd7ffdf9ee8fb473afe4a1849ad2009d7c3f201e86baa52c3f93694bc0caae",
     "decompose-three-6-prime-2:text": "72aad9ad358795d29bbd406216d6c75e27347d4c0e9c89ec8be8c8dd904faff2",
+    "kummer-doubled-simplex:json": "c742b23d9ac25086a5456689db4b4df763d0332a2a760834f4ae2b26a26baf55",
+    "kummer-doubled-simplex:text": "6ad70f636d7e0e14a49193bbf3dfdc51e71481365cdc0618699d4bcea52a3ed3",
+    "kummer-readme:json": "2870bb74a9365e72f6257e27548436b96b6f5fa16f5ced3a9ebd9f6f2b150037",
+    "kummer-readme:text": "5b38f7375c907d3ccc2d861c1a6cf49e8cd8be224f2a7ab20e6014cf034b5eb6",
+    "kummer-third:json": "424fed1708bcd13416d1172263c70dd61ec0f70d4278acfa0bec6ed0c098122a",
+    "kummer-third:text": "dc48dfb7b78163d942572b92b8578dec8d8071a789ab654212f78c12c388356f",
+    "monoid-doubled-simplex:json": "e4fe4ee73113851a42aa058485d91ff4535caf94911afe9ab3c6e0da2cf64270",
+    "monoid-doubled-simplex:text": "a2e6616408dd8abbd0b5b3872295b756d81bb51de0f4b25a88be50865f9eb6b4",
+    "monoid-readme:json": "bc4149acbfb9540154f92918cadbf93cc19d22c7abd808713f13e09bf5b885fa",
+    "monoid-readme:text": "ac8e072585cdcdf18ed1b31a0da50f474571b3c726294d2e971b96d5d737e936",
+    "monoid-square:json": "d2cea7d2ab822f7dddd38b3ef68f2fa4ec79a81726c002561c3d3d2d2da529f4",
+    "monoid-square:text": "01f94eb738316107794ec869fa471ed0d773890ce58bb8b41f582498ccd051f7",
+    "monoid-third:json": "58b0e86d33a9a3f29c02bbbfdae550cde534ea69342e136f6bf42f2d10eab86d",
+    "monoid-third:text": "183e563ccd545f37ea767fa00d5bbb35b253025a8d5050b2348c05f97a85f526",
     "psod-chart-3:json": "37f6c5dc849023712284cb5d51daa042fb4e74b035afa64911f6c1833674dbdf",
     "psod-chart-3:text": "9626774fb110ac67c5f7684806764780f2161a0ce16b0f23bb3d20af928cc781",
     "psod-line-3:json": "954ce7bebdad6a97e41e52cc78a450a9ee29cf439a58d06f28fd0a003d3e8ace",
@@ -75,10 +114,10 @@ DIGESTS = {
     "psod-odd-2,3,1-standard:text": "d74efd2e4ecc421a5c37dd26123546673d9674a59f16e8b6098c6b2895f70b35",
     "psod-odd-3:json": "ede8f034af82363f702104c8ea1f09a2dac35b4b893c78032d3c067cc2c109e7",
     "psod-odd-3:text": "502a63625ef84ae0c044972f21b8acb5a2b21dc3cca870c53922c0d0945b0064",
-    "psod-three-2:json": "15ff0b32d47e836a8b096fda764f7b3c1a87853f6a920306862389f3a97f6a47",
-    "psod-three-2:text": "76cbed93403373f8e63989a2a6f987dc8f1b1231008969222b0c42a6bf0cdbd8",
     "psod-three-2,3,2-standard:json": "23e094a4fbd3d0891e4162363898f5e2fb7bab4c0e6cd9c0bb2dba0541dc4193",
     "psod-three-2,3,2-standard:text": "a3e480fe81d4b96c067982f690629b007b664d8df76ddae88f825b92517fcd7e",
+    "psod-three-2:json": "15ff0b32d47e836a8b096fda764f7b3c1a87853f6a920306862389f3a97f6a47",
+    "psod-three-2:text": "76cbed93403373f8e63989a2a6f987dc8f1b1231008969222b0c42a6bf0cdbd8",
     "psod-three-4:json": "7d23bfb68eb480f8513d2cb58ed6600593d321742210546375211b3adddbe0b1",
     "psod-three-4:text": "5373595b2dbeefdb14ac472399fb45a6484f8574e1830fa860083142dd636889",
     "psod-three-6,6,6:json": "1a2edbda351eda2a5ac531956c19895cdad361c52fdad9aa7487ef9a7f903699",

@@ -1,6 +1,7 @@
 """Toric monoid kernel tests: rays, indecomposables, Kummer extensions."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -36,9 +37,12 @@ from logsod.monoids import (
 )
 from oracles import (
     extremal_dirs_by_facets,
+    extremal_rays_by_lp,
+    face_strata_by_lp,
     is_saturated_by_lp,
     kummer_is_minimal,
     primitive,
+    rank,
     saturate_by_lp,
     solve_exact,
 )
@@ -302,6 +306,92 @@ class TestSaturationAgainstLp:
             _outcome(is_saturated, m)
             saturate(m)
         assert tested
+
+
+# The cone is the plane and has no facet normals; no generator is a
+# combination of the other two, so all three are extremal by the definition.
+WHOLE_PLANE = ToricMonoid(2, ((1, 0), (0, 1), (-1, -1)))
+# The plane again, where every generator is a combination of the others.
+NO_RAYS = ToricMonoid(2, ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)))
+# A cone with a line, where (0, 1) is extremal by the definition.
+HALF_PLANE = ToricMonoid(2, ((1, 0), (-1, 0), (0, 1)))
+# The square cone with 21 more directions inside: C(25, 2) = 300 subsets.
+PAST_FACET_CAP = ToricMonoid(3, tuple((i, j, 4) for i in range(5) for j in range(5)))
+
+
+def _faces(m):
+    p = face_strata(m)
+    return p.elements, p.rows()
+
+
+def _simplicial_by_lp(m):
+    rays = extremal_rays_by_lp(m)
+    return rank([list(map(Fraction, r)) for r in rays]) == len(rays)
+
+
+class TestFacesAgainstLp:
+    """Rays and faces from integer facet normals against one exact LP per
+    direction and per ray subset."""
+
+    @staticmethod
+    def check(m):
+        assert _outcome(extremal_rays, m) == _outcome(extremal_rays_by_lp, m)
+        assert _outcome(is_simplicial, m) == _outcome(_simplicial_by_lp, m)
+        assert _outcome(_faces, m) == _outcome(face_strata_by_lp, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_monoids())
+    def test_random_monoids(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_library_in_shuffled_orders(self, monoid_library, seed):
+        rng = random.Random(seed)
+        for case in monoid_library:
+            gens = list(case.monoid.generators)
+            rng.shuffle(gens)
+            self.check(ToricMonoid(case.monoid.ambient_rank, tuple(gens)))
+
+    @pytest.mark.parametrize(
+        "m", [WHOLE_PLANE, NO_RAYS, HALF_PLANE, PAST_FACET_CAP, SQUARE_CONE, UNSATURATED]
+    )
+    def test_fixed_cones(self, m):
+        self.check(m)
+
+    def test_whole_plane(self):
+        assert extremal_rays(WHOLE_PLANE) == [(-1, -1), (0, 1), (1, 0)]
+        assert face_strata(WHOLE_PLANE).elements == (((-1, -1), (0, 1), (1, 0)),)
+
+    def test_no_rays(self):
+        assert extremal_rays(NO_RAYS) == []
+        assert face_strata(NO_RAYS).elements == ((),)
+
+    def test_half_plane_keeps_the_definition(self):
+        assert extremal_rays(HALF_PLANE) == [(-1, 0), (0, 1), (1, 0)]
+        # The line is the smallest face: no functional is positive on it.
+        assert face_strata(HALF_PLANE).elements == (((-1, 0), (1, 0)), ((-1, 0), (0, 1), (1, 0)))
+
+    def test_past_the_cap_takes_one_lp_per_direction(self, monkeypatch):
+        assert math.comb(25, 2) > monoids.FACET_PASS_CAP
+        calls = []
+
+        def counting(columns, target):
+            calls.append(target)
+            return nonneg_combination(columns, target)
+
+        monkeypatch.setattr(monoids, "nonneg_combination", counting)
+        assert extremal_rays(PAST_FACET_CAP) == [(0, 0, 4), (0, 4, 4), (4, 0, 4), (4, 4, 4)]
+        assert len(calls) == 25
+
+    def test_pointed_cones_under_the_cap_take_no_lp(self, monoid_library, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("LP called")
+
+        monkeypatch.setattr(monoids, "nonneg_combination", refuse)
+        monkeypatch.setattr(monoids, "separating_functional", refuse)
+        for m in [*(case.monoid for case in monoid_library), SQUARE_CONE, UNSATURATED]:
+            assert extremal_rays(m)
+            face_strata(m)
 
 
 class TestBareissDeterminant:

@@ -470,6 +470,13 @@ class TestEmbeddingCheck:
         with pytest.raises(TooManyLabels, match="3628800"):
             embedding_check(cx(), 11)
 
+    @pytest.mark.parametrize("cx", [single_divisor, three_lines])
+    def test_huge_stage_refused_before_factorial(self, cx):
+        # 19999! has about 77,000 digits: counting stops at the cap, and the
+        # message bounds the count instead of writing it.
+        with pytest.raises(TooManyLabels, match=r"stage 19999: over 10\^\d+, more than"):
+            embedding_check(cx(), 20000)
+
     def test_corrupted_order_fails(self):
         cx = single_divisor()
         good = psod_infinite(cx, 3)
