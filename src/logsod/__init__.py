@@ -23,31 +23,27 @@ class Record:
     with object.__setattr__.  From the slots it gets:
 
     - equality between instances of the same class, field by field, and a
-      hash over the same fields;
+      hash over every field, so a field holding a dict leaves its class
+      unhashable;
     - a repr Name(field=value, ...) over every field;
     - AttributeError on assigning or deleting an attribute;
     - copying and pickling through the constructor.
-
-    Fields named in the class keyword `uncompared` stay out of equality and
-    the hash, those in `unhashed` out of the hash only.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, *, uncompared=(), unhashed=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__slots__" in cls.__dict__:  # a subclass without fields keeps its base's
-            compared = [f for f in cls.__slots__ if f not in uncompared]
-            cls._compared = attrgetter(*compared)
-            cls._hashed = attrgetter(*[f for f in compared if f not in unhashed])
+            cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._compared(self) == self._compared(other)
+        return self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash(self._hashed(self))
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

@@ -131,7 +131,7 @@ def _scene_assignment(data: dict) -> InvariantAssignment:
 
 
 def _check_assignment_keys(v: InvariantAssignment, cx: SncComplex) -> None:
-    known = {"X"} | {cx.stratum_name(s) for s in cx.strata(proper=True)}
+    known = {cx.stratum_name(s) for s in cx.nonempty}
     unknown = sorted(set(v.values) - known)
     if unknown:
         raise ParseError(f"assignment references unknown strata: {', '.join(unknown)}")
@@ -463,7 +463,7 @@ def cmd_strictify(args) -> int:
         if not log.steps:
             lines.append("already simple; no blow-ups")
         lines.append("components: " + ", ".join(str(c) for c in snc.components))
-        lines.append(f"strata: {len(snc.strata(proper=True))}")
+        lines.append(f"strata: {len(snc.nonempty) - 1}")
         return "\n".join(lines)
 
     _emit(args, lambda: (_dumps({"complex": snc.to_json(), "log": log.to_json()}),), text)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence
 
 from logsod import Record
 from logsod.errors import (
     InconsistentIncidence,
     ParseError,
+    TooManyStrata,
     UnknownStratum,
     UnsupportedConfiguration,
 )
@@ -56,23 +57,16 @@ Stratum = frozenset
 _set = object.__setattr__
 
 
-class SncComplex(Record, uncompared=("stratum_meta",)):
+class SncComplex(Record):
     """Simple normal crossings combinatorics: components and the set of
-    index subsets whose intersection stratum is nonempty.
-
-    stratum_meta may carry per-stratum payloads (snc_of_simple lists the
-    crossings that witness each deeper stratum); it does not affect
-    equality.
+    index subsets whose intersection stratum is nonempty.  Both take part
+    in equality and the hash; which crossings of an nc complex witness a
+    stratum is read off that complex (normalized_names).
     """
 
-    __slots__ = ("components", "nonempty", "stratum_meta")
+    __slots__ = ("components", "nonempty")
 
-    def __init__(
-        self,
-        components: tuple,
-        nonempty: frozenset[Stratum],
-        stratum_meta: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, components: tuple, nonempty: frozenset[Stratum]) -> None:
         comp = set(components)
         if len(comp) != len(components):
             raise ValueError("component labels must be distinct")
@@ -86,7 +80,6 @@ class SncComplex(Record, uncompared=("stratum_meta",)):
                     raise ValueError("nonempty strata must be downward closed")
         _set(self, "components", components)
         _set(self, "nonempty", nonempty)
-        _set(self, "stratum_meta", {} if stratum_meta is None else stratum_meta)
 
     def is_nonempty(self, subset: Iterable) -> bool:
         return frozenset(subset) in self.nonempty
@@ -124,6 +117,40 @@ def _label_key(j: Stratum):
     return tuple(sorted(map(_sort_token, j)))
 
 
+# Most nonempty strata a complex may have: 2^16, the subsets of one stratum
+# of 16 components.  On a 2-vCPU machine, that one-stratum scene with a value
+# for every stratum took 5.4 s and 159 MB in `logsod decompose --level 2`,
+# and 5.2 s and 172 MB in `logsod psod --order standard --level 2`, about
+# the memory of a descriptor of psod.LABEL_CAP labels.  Time and memory grow
+# fourfold per two components: 14 took 1.2 s and 50 MB, and 1.7 s and 53 MB.
+STRATA_CAP = 1 << 16
+
+
+def _downward_closure(strata: Collection[Stratum]) -> frozenset[Stratum]:
+    """The empty stratum and every subset of the given strata: the strata
+    that are nonempty when the given ones are.
+
+    Raises TooManyStrata, before building any subset, when one stratum alone
+    has more than STRATA_CAP subsets, and as soon as the closure grows past
+    STRATA_CAP.
+    """
+    for j in strata:
+        if 2 ** len(j) > STRATA_CAP:
+            raise TooManyStrata(
+                f"a stratum of {len(j)} components has 2^{len(j)} subsets, "
+                f"more than the {STRATA_CAP} nonempty strata a complex may have"
+            )
+    closure = {frozenset()}
+    for j in strata:
+        closure.update(_subsets(j))
+        if len(closure) > STRATA_CAP:
+            raise TooManyStrata(
+                f"the complex has at least {len(closure)} nonempty strata, "
+                f"more than the {STRATA_CAP} it may have"
+            )
+    return frozenset(closure)
+
+
 def snc_from_divisors(
     components: Sequence,
     nonempty: Iterable[Iterable],
@@ -134,13 +161,13 @@ def snc_from_divisors(
     Subsets of declared-nonempty strata are added automatically (with a
     warning) since an intersection can only be nonempty if every smaller one
     is.  Explicitly declared empty strata that contradict this raise
-    InconsistentIncidence.
+    InconsistentIncidence, and more than STRATA_CAP strata TooManyStrata.
     """
     comps = tuple(components)
     declared = {frozenset(j) for j in nonempty}
     declared.add(frozenset())
     declared_empty = {frozenset(j) for j in empty}
-    closure = {sub for j in declared for sub in _subsets(j)}
+    closure = _downward_closure(declared)
     missing = closure - declared
     if missing:
         hit = missing & declared_empty
@@ -159,7 +186,7 @@ def snc_from_divisors(
         raise InconsistentIncidence(
             f"stratum {sorted(bad, key=_sort_token)} declared both empty and nonempty"
         )
-    return SncComplex(comps, frozenset(closure))
+    return SncComplex(comps, closure)
 
 
 class Crossing(Record):
@@ -167,7 +194,9 @@ class Crossing(Record):
 
     A branch is a (component label, branch id) pair; ids tell apart the
     sheets of one component passing through the same stratum.  The stratum's
-    codimension always equals the number of branches.
+    codimension always equals the number of branches.  origin, on a crossing
+    made by a blow-up, is (center, i): the name of the crossing blown up and
+    the 1-based index of the branch this crossing separates.
     """
 
     __slots__ = ("name", "branches", "origin")
@@ -350,7 +379,7 @@ def strictify_nc(nc: NcComplex) -> tuple[NcComplex, BlowupLog]:
                     Crossing(
                         f"{s.name}.{i}",
                         ((label, 1), (c, b)),
-                        origin=("blowup", s.name, i, c, b),
+                        origin=(s.name, i),
                     )
                 )
             closure = [p for p in closure if s.name not in p]
@@ -361,21 +390,13 @@ def strictify_nc(nc: NcComplex) -> tuple[NcComplex, BlowupLog]:
 
 
 def snc_of_simple(nc: NcComplex) -> SncComplex:
-    """View a simple crossings complex through its nonempty strata; the
-    per-stratum metadata lists the witnessing crossings."""
+    """View a simple crossings complex through its nonempty strata: each
+    component, and each crossing's set of components with its subsets."""
     if not is_simple(nc):
         raise UnsupportedConfiguration("complex still has non-simple crossings")
-    nonempty = {frozenset()}
-    meta: dict[Stratum, dict] = {}
-    for c in nc.components:
-        nonempty.add(frozenset({c}))
-    for s in nc.crossings:
-        support = frozenset(s.component_labels)
-        nonempty.update(_subsets(support))
-        meta.setdefault(support, {"crossings": []})["crossings"].append(s.name)
-    for bucket in meta.values():
-        bucket["crossings"].sort()
-    return SncComplex(tuple(nc.components), frozenset(nonempty), meta)
+    supports = [frozenset({c}) for c in nc.components]
+    supports += [frozenset(s.component_labels) for s in nc.crossings]
+    return SncComplex(tuple(nc.components), _downward_closure(supports))
 
 
 def strictify(nc: NcComplex) -> tuple[SncComplex, BlowupLog]:
@@ -400,17 +421,17 @@ def normalize_stratum(nc: NcComplex, stratum) -> list[tuple[str, int]]:
 
 
 def normalized_names(
-    nc: NcComplex, simple: NcComplex, snc: SncComplex, stratum
+    nc: NcComplex, simple: NcComplex, stratum
 ) -> Optional[tuple[tuple[str, int], ...]]:
     """Normalized strata of the original pair, with multiplicities, that a
     stratum of its strictification lies on.
 
-    simple and snc are strictify_nc(nc)'s complex and its snc_of_simple
-    view.  The empty stratum is the total space X; an original component
-    normalizes as in normalize_stratum; an exceptional component stays
-    itself; a deeper stratum lists its witnessing crossings, a blow-up
-    crossing pointing back to the branch it separated.  None when a deeper
-    stratum has no crossing records.
+    simple is strictify_nc(nc)'s complex.  The empty stratum is the total
+    space X; an original component normalizes as in normalize_stratum; an
+    exceptional component stays itself; a deeper stratum lists the crossings
+    of simple whose components are exactly the stratum, sorted by name, a
+    blow-up crossing pointing back to the branch it separated.  None when no
+    crossing of simple has those components.
     """
     s = frozenset(stratum)
     if not s:
@@ -420,18 +441,10 @@ def normalized_names(
         if c in nc.components:
             return tuple(normalize_stratum(nc, c))
         return ((str(c), 1),)
-    meta = snc.stratum_meta.get(s)
-    if meta is None:
+    on = sorted((x.name, x.origin) for x in simple.crossings if {c for c, _ in x.branches} == s)
+    if not on:
         return None
-    out = []
-    for name in meta["crossings"]:
-        origin = simple.crossing(name).origin
-        if origin and origin[0] == "blowup":
-            _, center, branch_index, _, _ = origin
-            out.append((f"{center}@{branch_index}", 1))
-        else:
-            out.append((name, 1))
-    return tuple(out)
+    return tuple((f"{origin[0]}@{origin[1]}" if origin else name, 1) for name, origin in on)
 
 
 class FixedLocusData(Record):
@@ -503,7 +516,7 @@ def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusD
     if len(chart.monoids) == 1:
         return _single_chart_pair(chart.monoids[0], prefix="R")
     components: list = []
-    nonempty = {frozenset()}
+    charts = []
     for k, m in enumerate(chart.monoids, start=1):
         cx, piece = _single_chart_pair(m, prefix=f"C{k}.R")
         if piece.invariant_factors:
@@ -511,8 +524,8 @@ def canonical_root_pair(chart: SimplicialChart) -> tuple[SncComplex, FixedLocusD
                 "multiple charts are supported only when every chart is free"
             )
         components.extend(cx.components)
-        nonempty |= cx.nonempty
-    snc = SncComplex(tuple(components), frozenset(nonempty))
+        charts.append(frozenset(cx.components))
+    snc = SncComplex(tuple(components), _downward_closure(charts))
     return snc, FixedLocusData(tuple(components), (), (), ())
 
 
@@ -521,7 +534,7 @@ def _single_chart_pair(m: ToricMonoid, prefix: str) -> tuple[SncComplex, FixedLo
 
     ext = canonical_kummer_extension(m)
     labels = tuple(f"{prefix}{j}" for j in range(1, len(ext.rays) + 1))
-    nonempty = frozenset(_subsets(labels))
+    nonempty = _downward_closure([frozenset(labels)])
     factors, weights = _quotient_weights(m, ext)
     # g moves coordinate j when sum_k g_k w_kj / d_k is not an integer,
     # tested over the common denominator lcm(d_k)

@@ -273,7 +273,7 @@ def _label_sort_key(j: frozenset):
 
 
 def _proper_strata(cx: SncComplex) -> list[frozenset]:
-    return sorted(cx.strata(proper=True), key=_label_sort_key)
+    return sorted((j for j in cx.nonempty if j), key=_label_sort_key)
 
 
 def _assemble(
@@ -379,7 +379,7 @@ def decompose_nc(
         count = (level[0] - 1) ** len(s)
         if not count:
             continue
-        names = normalized_names(nc, simple, snc, s)
+        names = normalized_names(nc, simple, s)
         if names is None:
             raise UnsupportedConfiguration(
                 f"stratum {sorted(s, key=str)} has no crossing records "
@@ -466,15 +466,18 @@ def etale_filter(
     if len(level) != len(cx.components):
         raise ValueError("one cyclic order per component required")
     index = {c: i for i, c in enumerate(cx.components)}
+    prime_checked = False
 
     def count(j: frozenset) -> int:
         # Checked per stratum, so only the orders of nonempty strata are
-        # validated, and an order before the prime.
+        # validated, and an order before the prime, which is tested once.
+        nonlocal prime_checked
         orders = [level[index[c]] for c in j]
         if any(r < 1 for r in orders):
             raise ValueError("cyclic orders must be positive")
-        if not _is_prime(p):
+        if not prime_checked and not _is_prime(p):
             raise ValueError(f"prime_to must be prime, got {p}")
+        prime_checked = True
         return math.prod(prime_to_part(r, p) - 1 for r in orders)
 
     return _assemble(

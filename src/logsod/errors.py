@@ -63,3 +63,7 @@ class BoxTooLarge(LogsodError, ValueError):
 
 class TooManyFaces(LogsodError):
     """A face-lattice search would test more ray subsets than the cap."""
+
+
+class TooManyStrata(LogsodError):
+    """A complex would have more nonempty strata than the cap."""

@@ -403,7 +403,7 @@ def strata_preorder(components: Iterable, ambient_dim: int) -> Preorder:
             f"ambient dimension {ambient_dim} below component count {len(labels)}",
             stacklevel=2,
         )
-    subsets = list(_subsets(labels))
+    subsets = _subsets(labels)
     subsets.sort(key=lambda s: (-len(s), sorted(map(_sort_token, s))))
     rows = []
     for s in subsets:
@@ -415,11 +415,12 @@ def strata_preorder(components: Iterable, ambient_dim: int) -> Preorder:
     return Preorder(subsets, rows)
 
 
-def _subsets(labels: Iterable) -> Iterable[frozenset]:
+def _subsets(labels: Iterable) -> list[frozenset]:
     """Every subset of the labels, in no particular order."""
-    items = tuple(labels)
-    for mask in range(1 << len(items)):
-        yield frozenset(l for i, l in enumerate(items) if mask >> i & 1)
+    out = [frozenset()]
+    for label in labels:
+        out += [s | {label} for s in out]
+    return out
 
 
 def _sort_token(label):
@@ -552,14 +553,38 @@ def _standard_axis(r: int) -> list[Character]:
     return axis
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_TEST_BOUND (Sorenson and Webster 2015: the least strong
+# pseudoprime to all 13 bases).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime; ValueError for an n of PRIME_TEST_BOUND or more."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(
+            f"prime_to must be below {PRIME_TEST_BOUND}, past which primality "
+            f"is not decided exactly, got {n}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -100,7 +100,7 @@ class FactorLabel(Record):
         return out
 
 
-class PsodDescriptor(Record, unhashed=("names",)):
+class PsodDescriptor(Record):
     """Ordered label family for one level of the root-stack tower, held as
     the parameters that determine it.
 
@@ -110,9 +110,11 @@ class PsodDescriptor(Record, unhashed=("names",)):
     gives the per-component cyclic order; nonempty is the complex's nonempty
     strata, and a label on any other stratum is flagged zero.  truncation is
     set when the descriptor presents a stage of the infinite tower, whose
-    labels carry their first level.  names, for an nc pair, maps each
-    nonempty stratum to the normalized strata it lies on.  base_breakdown
-    records blow-up factor counts for the base, metadata only.
+    labels carry their first level.  names, for an nc pair, is a frozenset
+    of (stratum, normalized strata) pairs, one for each nonempty stratum,
+    naming the normalized strata of the original pair it lies on.
+    base_breakdown records blow-up factor counts for the base, metadata
+    only.
     """
 
     __slots__ = (
@@ -127,7 +129,7 @@ class PsodDescriptor(Record, unhashed=("names",)):
         level: tuple[int, ...],
         truncation: Optional[int] = None,
         base_breakdown: Optional[tuple[tuple[str, int], ...]] = None,
-        names: Optional[dict] = None,
+        names: Optional[frozenset] = None,
     ) -> None:
         if order not in ("standard", "factorial"):
             raise ValueError(f"unknown order tag {order!r}")
@@ -168,6 +170,7 @@ class PsodDescriptor(Record, unhashed=("names",)):
         """The labels in order, each built when it is asked for.  The labels
         on one stratum share its frozenset and annotations, computed once."""
         strata: dict[tuple[bool, ...], tuple] = {}  # by nonzero pattern
+        names = dict(self.names or ())
         for chi, first in self.characters():
             on = tuple([x.p != 0 for x in chi])
             stratum = strata.get(on)
@@ -177,7 +180,7 @@ class PsodDescriptor(Record, unhashed=("names",)):
                     support,
                     BASE if not support else GERBE,
                     support not in self.nonempty,
-                    None if self.names is None else self.names.get(support),
+                    names.get(support),
                 )
             support, provenance, zero, normalized = stratum
             yield FactorLabel(
@@ -455,13 +458,15 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     annotates every label with the normalized strata of the original pair
     it lives on: original components normalize once, blow-up crossings point
     back to the branch they separated, exceptional components stay
-    themselves.  The base label records the blow-up factor counts (one copy
-    of the center per codimension step) as descriptor metadata.
+    themselves.  The annotations are the descriptor's names, one pair of a
+    nonempty stratum and its normalized_names, put on the labels as they
+    are generated.  The base label records the blow-up factor counts (one
+    copy of the center per codimension step) as descriptor metadata.
     """
     simple, log = strictify_nc(nc)
     snc = snc_of_simple(simple)
     level = _stage_level(truncation, len(snc.components))
-    names = {s: normalized_names(nc, simple, snc, s) for s in snc.nonempty}
+    names = frozenset((s, normalized_names(nc, simple, s)) for s in snc.nonempty)
     breakdown = tuple((step.stratum, step.codim - 1) for step in log.steps)
     return PsodDescriptor(
         snc.components, snc.nonempty, "factorial", level, truncation, breakdown, names

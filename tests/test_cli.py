@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logsod.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFCHECK, main
-from logsod.complexes import nc_from_json, snc_from_divisors
+from logsod.complexes import STRATA_CAP, nc_from_json, snc_from_divisors
+from logsod.orders import PRIME_TEST_BOUND
 from logsod.psod import psod_infinite, psod_nc, psod_snc
 from logsod.selfcheck import CheckResult, SelfcheckReport
 from scenes import scenes
@@ -98,6 +99,13 @@ def run_cli(capsys, argv) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv, seconds: float) -> subprocess.CompletedProcess:
+    """argv run by a fresh `python -m logsod.cli`, which is killed, raising
+    TimeoutExpired, when it runs longer than seconds."""
+    return subprocess.run([sys.executable, "-m", "logsod.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds)
 
 
 def run_json(capsys, argv):
@@ -352,6 +360,32 @@ class TestDecomposeCommand:
                                         "--level", "2"])
         assert code == EXIT_DOMAIN
         assert "D_{D}" in err
+
+    @pytest.mark.parametrize("p, code, err", [
+        (2 ** 61 - 1, EXIT_OK, ""),
+        ((10 ** 9 + 7) * (10 ** 9 + 9), EXIT_DOMAIN,
+         "error: prime_to must be prime, got 1000000016000000063\n"),
+        (PRIME_TEST_BOUND, EXIT_DOMAIN, f"error: prime_to must be below {PRIME_TEST_BOUND}, "
+         f"past which primality is not decided exactly, got {PRIME_TEST_BOUND}\n"),
+    ], ids=["prime", "semiprime", "bound"])
+    def test_large_prime_answers_within_a_second(self, tmp_path, p, code, err):
+        proc = run_fresh(["decompose", write_scene(tmp_path, LINE_SCENE), "--level", "5",
+                          "--prime-to", str(p)], seconds=1)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        if code == EXIT_OK:
+            assert json.loads(proc.stdout)["total"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--level", "2"], ["psod", "--order", "standard", "--level", "2"],
+    ], ids=["decompose", "psod"])
+    def test_thirty_component_stratum_refused_within_a_second(self, tmp_path, argv):
+        labels = [f"L{i}" for i in range(1, 31)]
+        scene = {"kind": "snc", "components": labels, "nonempty": [labels],
+                 "assignment": {"value_system": "int", "values": {"X": 1}}}
+        proc = run_fresh([argv[0], write_scene(tmp_path, scene), *argv[1:]], seconds=1)
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr == (f"error: a stratum of 30 components has 2^30 subsets, more than "
+                               f"the {STRATA_CAP} nonempty strata a complex may have\n")
 
     def test_prime_filter_rejected_off_snc(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["decompose", write_scene(tmp_path, NODAL_SCENE),

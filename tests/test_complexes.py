@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logsod.complexes import (
+    STRATA_CAP,
     BlowupStep,
     Crossing,
     FixedLocusData,
@@ -24,6 +25,7 @@ from logsod.complexes import (
     is_simple,
     nc_from_json,
     normalize_stratum,
+    normalized_names,
     snc_from_divisors,
     snc_of_simple,
     strictify,
@@ -32,6 +34,7 @@ from logsod.complexes import (
 from logsod.errors import (
     InconsistentIncidence,
     ParseError,
+    TooManyStrata,
     UnknownStratum,
     UnsupportedConfiguration,
 )
@@ -133,6 +136,26 @@ class TestSncComplex:
             SncComplex(("",), frozenset({frozenset(), frozenset({""}), frozenset({"", 1})}))
 
 
+class TestStrataCap:
+    def test_one_stratum_with_too_many_subsets(self):
+        labels = list(range(17))
+        message = (f"^a stratum of 17 components has 2\\^17 subsets, more than the "
+                   f"{STRATA_CAP} nonempty strata a complex may have$")
+        with pytest.raises(TooManyStrata, match=message):
+            snc_from_divisors(labels, [labels])
+        crossing = Crossing("S", tuple((c, 1) for c in labels))
+        with pytest.raises(TooManyStrata, match=message):
+            snc_of_simple(NcComplex(tuple(labels), (crossing,)))
+
+    def test_closure_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr("logsod.complexes.STRATA_CAP", 8)
+        with pytest.warns(UserWarning):
+            assert len(snc_from_divisors("abc", ["abc"]).nonempty) == 8
+        with pytest.raises(TooManyStrata, match="^the complex has at least 9 nonempty "
+                                                "strata, more than the 8 it may have$"):
+            snc_from_divisors("abcd", ["abc", "d"])
+
+
 class TestCrossings:
     def test_codim_is_branch_count(self):
         s = Crossing("N", (("C", 1), ("C", 2)))
@@ -196,16 +219,17 @@ class TestStrictify:
         assert log.steps[0] == BlowupStep("N", 2, "E1")
         assert set(snc.components) == {"C", "E1"}
         assert snc.is_nonempty({"C", "E1"})
-        assert snc.stratum_meta[frozenset({"C", "E1"})] == {"crossings": ["N.1", "N.2"]}
+        simple, _ = strictify_nc(NODAL)
+        assert normalized_names(NODAL, simple, {"C", "E1"}) == (("N@1", 1), ("N@2", 1))
 
     def test_nodal_rewritten_complex(self):
         simple, log = strictify_nc(NODAL)
         assert is_simple(simple)
         assert len(log.steps) == 1
-        assert sorted(s.name for s in simple.crossings) == ["N.1", "N.2"]
+        assert sorted((s.name, s.origin) for s in simple.crossings) == [
+            ("N.1", ("N", 1)), ("N.2", ("N", 2))]
         for s in simple.crossings:
             assert s.codim == 2
-            assert s.origin[:2] == ("blowup", "N")
 
     def test_two_nodes(self):
         simple, log = strictify_nc(TWO_NODE)
@@ -222,9 +246,10 @@ class TestStrictify:
         triple = NcComplex(
             ("C",), (Crossing("T", (("C", 1), ("C", 2), ("C", 3))),), ambient_dim=3
         )
-        snc, log = strictify(triple)
+        simple, log = strictify_nc(triple)
         assert [s.codim for s in log.steps] == [3]
-        assert snc.stratum_meta[frozenset({"C", "E1"})] == {"crossings": ["T.1", "T.2", "T.3"]}
+        assert normalized_names(triple, simple, {"C", "E1"}) == (
+            ("T@1", 1), ("T@2", 1), ("T@3", 1))
 
     def test_deepest_first(self):
         cx = NcComplex(
@@ -244,7 +269,7 @@ class TestStrictify:
         snc, log = strictify(SIMPLE_X)
         assert log.steps == ()
         assert set(snc.components) == {"A", "B"}
-        assert snc.stratum_meta[frozenset({"A", "B"})] == {"crossings": ["S"]}
+        assert normalized_names(SIMPLE_X, SIMPLE_X, {"A", "B"}) == (("S", 1),)
 
     def test_exceptional_names_avoid_collisions(self):
         cx = NcComplex(

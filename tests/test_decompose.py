@@ -519,6 +519,17 @@ class TestEtaleFilter:
         with pytest.raises(ValueError, match="^truncation must be a positive integer$"):
             etale_filter(cx, v, 2, truncation=0)
 
+    def test_prime_tested_once_after_the_first_orders(self, monkeypatch):
+        cx, v = three_lines(), iv(THREE_LINES_V)
+        with pytest.raises(ValueError, match="^cyclic orders must be positive$"):
+            etale_filter(cx, v, 4, level=(0, 6, 5))
+        with pytest.raises(ValueError, match="^prime_to must be prime, got 4$"):
+            etale_filter(cx, v, 4, level=(4, 6, 5))
+        calls = []
+        monkeypatch.setattr("logsod.decompose._is_prime", lambda p: not calls.append(p))
+        etale_filter(cx, v, 2, level=(4, 6, 5))
+        assert calls == [2]
+
     def test_exactly_one_selector(self):
         v = iv({"X": 2, "D_{D}": 1})
         with pytest.raises(ValueError):

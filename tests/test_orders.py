@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from logsod.errors import LengthMismatch
 from logsod.orders import (
+    PRIME_TEST_BOUND,
     Character,
     FactorialForm,
     Preorder,
@@ -30,6 +31,7 @@ from logsod.orders import (
     strata_preorder,
     support_partition,
     vector_first_level,
+    _is_prime,
 )
 from oracles import cmp_factorial_recursive, enumerate_characters_by_key, interleaving_chain, mod1
 
@@ -534,6 +536,34 @@ def _all_orders(max_entry, max_len):
             rec(prefix + [r])
     rec([])
     return out
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        # The sieve of Eratosthenes: trial division by every prime at once.
+        n = 10 ** 5
+        composite = bytearray(n + 1)
+        for d in range(2, math.isqrt(n) + 1):
+            if not composite[d]:
+                composite[d * d::d] = b"\x01" * len(range(d * d, n + 1, d))
+        assert [k for k in range(n + 1) if _is_prime(k)] == [
+            k for k in range(2, n + 1) if not composite[k]]
+
+    @pytest.mark.parametrize("n, prime", [
+        (2 ** 61 - 1, True),
+        ((10 ** 9 + 7) * (10 ** 9 + 9), False),
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # ... to the first 9 primes
+        (318665857834031151167461, False),  # ... to the first 12 primes
+        (PRIME_TEST_BOUND - 2, False),
+        (PRIME_TEST_BOUND - 168, True),  # the largest prime below the bound
+    ])
+    def test_large(self, n, prime):
+        assert _is_prime(n) is prime
+
+    def test_refused_from_the_bound(self):
+        with pytest.raises(ValueError, match=f"^prime_to must be below {PRIME_TEST_BOUND}, "):
+            _is_prime(PRIME_TEST_BOUND)
 
 
 class TestSupportPartition:
