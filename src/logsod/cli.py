@@ -15,8 +15,6 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate
-from operator import mul
 from typing import TYPE_CHECKING
 
 from logsod.errors import LogsodError, ParseError
@@ -27,7 +25,7 @@ if TYPE_CHECKING:
     from logsod.complexes import SimplicialChart, SncComplex
     from logsod.decompose import InvariantAssignment
     from logsod.monoids import ToricMonoid
-    from logsod.psod import FactorLabel, PsodDescriptor
+    from logsod.psod import PsodDescriptor
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -222,17 +220,6 @@ def _dumps(value, indent: str = "") -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
 
 
-def _check_digits(what: str, values: Iterable) -> None:
-    """Refuse output with an integer, alone or in a tuple, of more digits than
-    Python writes (sys.get_int_max_str_digits()), before any of it is written."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    ints = (x for v in values for x in (v if isinstance(v, tuple) else (v,)))
-    # An integer of at most 3.32 * limit bits is under 2**(3.32 * limit) < 10**limit.
-    if limit and any(abs(x) >= 10 ** limit for x in ints if x.bit_length() > 3.32 * limit):
-        raise ValueError(f"{what} is too large to report: its numbers have more than "
-                         f"the {limit} digits an integer may have in the output")
-
-
 def _vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
@@ -330,10 +317,12 @@ def cmd_psod(args) -> int:
 
 def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
     """The JSON of desc.to_json(), its labels written one at a time, each
-    from the pieces of its stratum (see _json_label_pieces) and its
-    characters' integers."""
+    from the pieces of its stratum and its characters' integers.  A
+    stratum's pieces are rendered once, from the component names rendered
+    once: its labels' nonzero coordinates, in component order, name it, and
+    its provenance, zero flag and normalized names follow from it."""
+    names = [_dumps(c, "        ") for c in desc.components]
     pieces: dict = {}
-    label_pieces = functools.partial(_json_label_pieces, desc.components)
     sep = "{\n  "
     for key, value in desc.json_outline().items():
         yield sep + _dumps(key) + ": "
@@ -343,7 +332,22 @@ def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
             continue
         item_sep = "[\n    "
         for lab in desc.iter_labels():
-            head, middle, tail = _stratum_pieces(pieces, lab, label_pieces)
+            shared = pieces.get(lab.stratum)
+            if shared is None:
+                on = ",\n        ".join([n for n, x in zip(names, lab.character) if x.p])
+                zero = "true" if lab.zero else "false"
+                tail = "\n    }"
+                if lab.normalized is not None:
+                    normalized = _dumps([[n, k] for n, k in lab.normalized], "      ")
+                    tail = f',\n      "normalized": {normalized}{tail}'
+                shared = pieces[lab.stratum] = (
+                    '{\n      "stratum": '
+                    + (f"[\n        {on}\n      ]" if lab.stratum else "[]")
+                    + ',\n      "char": ',
+                    f',\n      "provenance": "{lab.provenance}",\n      "zero": {zero}',
+                    tail,
+                )
+            head, middle, tail = shared
             chars = ",\n        ".join(
                 [f"[\n          {x.p},\n          {x.q}\n        ]" for x in lab.character])
             chars = f"[\n        {chars}\n      ]" if chars else "[]"
@@ -354,53 +358,31 @@ def _psod_json(desc: PsodDescriptor) -> Iterator[str]:
     yield "\n}"
 
 
-def _json_label_pieces(components: tuple, lab: FactorLabel) -> tuple[str, str, str]:
-    # The text of the label's JSON object, nested in the labels array,
-    # before "char"'s value, between it and "first_level", and after that.
-    obj = lab.to_json(components)
-    head = '{\n      "stratum": ' + _dumps(obj["stratum"], "      ") + ',\n      "char": '
-    middle = (',\n      "provenance": ' + _dumps(obj["provenance"])
-              + ',\n      "zero": ' + _dumps(obj["zero"]))
-    tail = "\n    }"
-    if "normalized" in obj:
-        tail = ',\n      "normalized": ' + _dumps(obj["normalized"], "      ") + tail
-    return head, middle, tail
-
-
-def _stratum_pieces(cache: dict, lab: FactorLabel, make: Callable[[FactorLabel], object]):
-    # What make renders of the fields a label shares with the other labels
-    # of its stratum (its provenance, zero flag and normalized names follow
-    # from the stratum), rendered once.
-    pieces = cache.get(lab.stratum)
-    if pieces is None:
-        pieces = cache[lab.stratum] = make(lab)
-    return pieces
-
-
 def _psod_text(desc: PsodDescriptor) -> str:
-    from logsod.complexes import in_component_order
-
-    def stratum_text(lab: FactorLabel) -> str:
-        name = "X" if not lab.stratum else "{" + ",".join(
-            str(x) for x in in_component_order(desc.components, lab.stratum)) + "}"
-        return f"  on {name}" + ("  [zero]" if lab.zero else "")
-
+    names = [str(c) for c in desc.components]
     pieces: dict = {}
     lines = [
         f"order: {desc.order}; level: {_vec(desc.level)}"
         + (f"; truncation: {desc.truncation}" if desc.truncation else "")
     ]
     for i, lab in enumerate(desc.iter_labels(), start=1):
+        stratum = pieces.get(lab.stratum)
+        if stratum is None:
+            on = ",".join([n for n, x in zip(names, lab.character) if x.p])
+            stratum = pieces[lab.stratum] = (
+                "  on " + ("{" + on + "}" if lab.stratum else "X")
+                + ("  [zero]" if lab.zero else ""))
         chars = ", ".join([f"-{x.p}/{x.q}" if x.p else "0" for x in lab.character])
         level = "" if lab.first_level is None else f"  [level {lab.first_level}]"
-        lines.append(f"{i:>4}. ({chars}){_stratum_pieces(pieces, lab, stratum_text)}{level}")
+        lines.append(f"{i:>4}. ({chars}){stratum}{level}")
     return "\n".join(lines)
 
 
 def cmd_decompose(args) -> int:
-    from logsod.complexes import canonical_root_pair, nc_from_json, strictify_nc
+    from logsod.complexes import canonical_root_pair, nc_from_json
     from logsod.decompose import (
-        decompose_finite, decompose_nc, decompose_simplicial_complexified, etale_filter,
+        _check_digits, decompose_finite, decompose_nc, decompose_simplicial_complexified,
+        etale_filter,
     )
 
     data = load_scene(args.scene)
@@ -422,13 +404,7 @@ def cmd_decompose(args) -> int:
     elif kind == "nc":
         if not isinstance(level, int):
             raise ParseError("nc scenes take a single truncation stage as level")
-        nc = nc_from_json(data)
-        try:  # The report holds n!: refuse a stage too deep for it before computing n!.
-            _check_digits(f"stage {level}", accumulate(range(1, level + 1), mul))
-        except ValueError:
-            strictify_nc(nc)  # whose refusals come first, as in decompose_nc
-            raise
-        report = decompose_nc(nc, v, level)
+        report = decompose_nc(nc_from_json(data), v, level)
     elif kind == "chart":
         if not isinstance(level, int):
             raise ParseError("chart scenes take a single cyclic order as level")

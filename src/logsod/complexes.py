@@ -67,17 +67,19 @@ class SncComplex(Record):
     __slots__ = ("components", "nonempty")
 
     def __init__(self, components: tuple, nonempty: frozenset[Stratum]) -> None:
-        comp = set(components)
-        if len(comp) != len(components):
+        bit = {c: 1 << k for k, c in enumerate(components)}
+        if len(bit) != len(components):
             raise ValueError("component labels must be distinct")
         if frozenset() not in nonempty:
             raise ValueError("the empty intersection (the total space) is nonempty")
+        masks = set()
         for j in nonempty:
-            if not j <= comp:
+            if not j <= bit.keys():
                 raise ValueError(f"stratum {sorted(j, key=_sort_token)} uses unknown components")
-            for c in j:
-                if j - {c} not in nonempty:
-                    raise ValueError("nonempty strata must be downward closed")
+            masks.add(sum(map(bit.__getitem__, j)))
+        # Closed when each stratum less any one of its components is a stratum.
+        if any(m ^ b not in masks for m in masks for b in bit.values() if m & b):
+            raise ValueError("nonempty strata must be downward closed")
         _set(self, "components", components)
         _set(self, "nonempty", nonempty)
 

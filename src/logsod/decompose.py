@@ -12,6 +12,7 @@ gives the same counts; the tests and selfcheck do so as an oracle.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping, Optional, Union
 
 from logsod import Record
@@ -33,7 +34,7 @@ from logsod.errors import (
     UnsupportedAction,
     UnsupportedConfiguration,
 )
-from logsod.orders import _is_prime, stage_level
+from logsod.orders import _is_prime, stage_level, stage_size
 
 __all__ = [
     "DecompositionReport",
@@ -305,6 +306,22 @@ def _assemble(
     )
 
 
+def _check_digits(what: str, values: Iterable) -> None:
+    """Refuse a report with an integer, alone or in a tuple, of more digits
+    than Python writes (sys.get_int_max_str_digits()), before any of it is
+    written."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    ints = (x for v in values for x in (v if isinstance(v, tuple) else (v,)))
+    # An integer of at most 3.32 * limit bits is under 2**(3.32 * limit) < 10**limit.
+    if limit and any(abs(x) >= 10 ** limit for x in ints if x.bit_length() > 3.32 * limit):
+        raise _too_long(what, limit)
+
+
+def _too_long(what: str, limit: int) -> ValueError:
+    return ValueError(f"{what} is too large to report: its numbers have more than "
+                      f"the {limit} digits an integer may have in the output")
+
+
 def decompose_finite(
     cx: SncComplex, level: Iterable[int], v: InvariantAssignment
 ) -> DecompositionReport:
@@ -361,9 +378,14 @@ def decompose_nc(
     (normalized_names).  The base contributes v(X) plus the blow-up copies
     of each center (codim - 1 per step).  The per-stratum multiplicities
     depend on the strictification order, which this package fixes, so they
-    are reproducible here but not canonical.
+    are reproducible here but not canonical.  A stage whose level n! has
+    more digits than Python writes (sys.get_int_max_str_digits()) is
+    refused after the strictification, before n! is computed.
     """
     simple, log = strictify_nc(nc)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and stage_size(truncation, 1, 10 ** limit) is None:
+        raise _too_long(f"stage {truncation}", limit)
     snc = snc_of_simple(simple)
     level = stage_level(truncation, len(snc.components))
     mults: dict[str, int] = {}

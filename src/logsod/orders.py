@@ -44,6 +44,7 @@ __all__ = [
     "mod_one",
     "normal_factorial_form",
     "stage_level",
+    "stage_size",
     "strata_preorder",
     "support_partition",
     "vector_first_level",
@@ -170,6 +171,19 @@ def stage_level(stage: int, k: int) -> tuple[int, ...]:
     if stage < 1:
         raise ValueError("truncation must be a positive integer")
     return (math.factorial(stage),) * k if k else ()
+
+
+def stage_size(stage: int, k: int, bound: int) -> Optional[int]:
+    """n!**k, the characters of stage n of the factorial tower over k
+    components, or None when that is at least bound; n! is computed only
+    until its k-th power reaches the bound.  Zero components have one
+    character at every stage."""
+    n = fact = size = 1
+    while k and n < stage and size < bound:
+        n += 1
+        fact *= n
+        size = fact ** k
+    return size if size < bound else None
 
 
 def normal_factorial_form(x: Character) -> FactorialForm:

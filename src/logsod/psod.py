@@ -36,6 +36,7 @@ from logsod.orders import (
     factorial_vector_key,
     Rel,
     stage_level,
+    stage_size,
     vector_first_level,
 )
 
@@ -319,39 +320,18 @@ def _too_many(what: str, count) -> TooManyLabels:
     )
 
 
-def _stage_fits(stage: int, k: int, cap: int) -> bool:
-    """True when stage n of the tower over k components has at most cap
-    labels, n!**k; n! is computed only until the count passes cap.  Zero
-    components have one label at every stage."""
-    if not k:
-        return True
-    n = fact = 1
-    while fact ** k <= cap:
-        if n >= stage:
-            return True
-        n += 1
-        fact *= n
-    return False
-
-
 def _stage_count(stage: int, k: int) -> int | str:
     """The n!**k labels of stage n, or the bound "over 10^d" when the count
     has more digits than Python writes as text (sys.get_int_max_str_digits());
     n! is computed only as far as that bound."""
     digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
-    bound = 10 ** digits
-    n = fact = 1
-    while n < stage and fact ** k < bound:
-        n += 1
-        fact *= n
-    count = fact ** k
-    return count if count < bound else f"over 10^{digits}"
+    return stage_size(stage, k, 10 ** digits) or f"over 10^{digits}"
 
 
 def _stage_level(stage: int, k: int) -> tuple[int, ...]:
     """stage_level(stage, k), refused when its n!**k labels are more than
     LABEL_CAP, before n! is computed in full."""
-    if _stage_fits(stage, k, LABEL_CAP):
+    if stage_size(stage, k, LABEL_CAP + 1):
         return stage_level(stage, k)
     raise _too_many(f"stage {stage}", _stage_count(stage, k))
 
@@ -381,7 +361,7 @@ def embedding_check(
         report["passed"] = False
         report["counterexamples"].append((kind, *items))
 
-    if _stage_fits(n, k, FULL_CHECK_CAP):
+    if stage_size(n, k, FULL_CHECK_CAP + 1):
         report["mode"] = "full"
         big = level_descriptor or psod_infinite(cx, n)
         small = sublevel_descriptor or psod_infinite(cx, n - 1)
@@ -399,7 +379,7 @@ def embedding_check(
                     break
         return report
 
-    if _stage_fits(n - 1, k, SUBLEVEL_CHECK_CAP):
+    if stage_size(n - 1, k, SUBLEVEL_CHECK_CAP + 1):
         report["mode"] = "sublevel"
         small = sublevel_descriptor or psod_infinite(cx, n - 1)
         fact = math.factorial(n)

@@ -4,8 +4,10 @@ Everything here is deliberately written from first principles, without
 importing the production kernel, so that each check compares two unrelated
 routes to the same answer.  There are three exceptions.  The saturation oracle
 decides cone membership with one exact LP per box point, through the
-production `nonneg_combination` and `contains`, which the facet-normal route
-under test does not use.  The ray and face oracles answer each direction and
+production `nonneg_combination`, which the facet-normal route under test does
+not use, and lattice membership through the production `group_lattice` and
+`in_row_span`; membership in the monoid itself is listed by
+`contains_by_enumeration`.  The ray and face oracles answer each direction and
 each ray subset with one exact LP, through `nonneg_combination` and
 `separating_functional`, where the production kernel reads integer facet
 normals.  The enumeration oracle sorts by the production
@@ -375,14 +377,72 @@ def saturate_by_lp(m) -> tuple[tuple[int, ...], ...]:
 
 def is_saturated_by_lp(m) -> bool:
     """Saturation in the monoid's own group lattice: every box-minimal cone
-    point is found in the monoid by the membership search."""
+    point is a sum of generators (contains_by_enumeration)."""
     from logsod.errors import ZeroMonoid
-    from logsod.monoids import contains, group_lattice
+    from logsod.monoids import group_lattice
 
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
     lattice = group_lattice(m)
-    return all(contains(m, g) for g in cone_points_minimal_by_lp(m, lattice))
+    return all(contains_by_enumeration(m, g) for g in cone_points_minimal_by_lp(m, lattice))
+
+
+def contains_by_enumeration(m, vec) -> bool:
+    """Membership of an integer vector in the monoid, by listing sums of
+    generators.
+
+    A grading w is an integer functional with w.g >= 1 on every generator g,
+    so v is in the monoid exactly when it is a sum of at most w.v
+    generators.  A cone with a line has no grading; the search then finds
+    a nonzero nonnegative integer combination of the generators that sums
+    to zero instead (Gordan's alternative), and raises NotSharp as the
+    production `contains` does.
+    """
+    from logsod.errors import NotSharp
+
+    target = tuple(vec)
+    if not any(target):
+        return True
+    gens = sorted(set(m.generators))
+    if not gens:
+        return False
+    w = _grading(gens, target)
+    if w is None:
+        raise NotSharp("membership search requires a sharp monoid")
+
+    def degree(v) -> int:
+        return sum(a * b for a, b in zip(w, v))
+
+    budget = degree(target)
+    frontier = seen = {(0,) * len(target)}
+    for _ in range(budget):
+        frontier = {
+            s for s in (tuple(a + b for a, b in zip(f, g)) for f in frontier for g in gens)
+            if degree(s) <= budget
+        } - seen
+        if target in frontier:
+            return True
+        seen = seen | frontier
+    return False
+
+
+def _grading(gens, target):
+    """The grading with entries in [-b, b] that is least on target, for the
+    least b that has one; None when the generators have a nonzero
+    nonnegative integer combination summing to zero, with coefficients in
+    [0, b], first."""
+    dim = len(gens[0])
+    b = 1
+    while True:
+        graded = [w for w in product(range(-b, b + 1), repeat=dim)
+                  if all(sum(x * y for x, y in zip(w, g)) >= 1 for g in gens)]
+        if graded:
+            return min(graded, key=lambda w: sum(x * y for x, y in zip(w, target)))
+        for coeffs in product(range(b + 1), repeat=len(gens)):
+            if any(coeffs) and not any(
+                    sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(dim)):
+                return None
+        b += 1
 
 
 def extremal_rays_by_lp(m) -> list[tuple[int, ...]]:

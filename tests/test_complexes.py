@@ -8,6 +8,7 @@ truncated index counts against the closed-form recount built on it.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,22 @@ class TestSncComplex:
     def test_unknown_component_message_with_mixed_labels(self):
         with pytest.raises(ValueError, match=r"stratum \[1, ''\] uses unknown components"):
             SncComplex(("",), frozenset({frozenset(), frozenset({""}), frozenset({"", 1})}))
+
+
+# Every subset of one stratum of five components, listed by size.
+FIVE = [frozenset(c) for k in range(6) for c in combinations("abcde", k)]
+
+
+class TestDownwardClosure:
+    @pytest.mark.parametrize("missing", FIVE[1:-1], ids="".join)
+    def test_one_missing_subset_of_a_five_component_stratum(self, missing):
+        # The stratum and each of its other subsets stay, so exactly the
+        # strata one component above the missing subset find it gone.
+        with pytest.raises(ValueError, match="^nonempty strata must be downward closed$"):
+            SncComplex(tuple("abcde"), frozenset(FIVE) - {missing})
+
+    def test_the_whole_closure_is_closed(self):
+        assert SncComplex(tuple("abcde"), frozenset(FIVE)).nonempty == frozenset(FIVE)
 
 
 class TestStrataCap:

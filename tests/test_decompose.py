@@ -9,6 +9,8 @@ diagonal factorial levels.
 from __future__ import annotations
 
 import math
+import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -327,6 +329,27 @@ class TestDecomposeNc:
         for stage in (0, 10**7):
             with pytest.raises(UnsupportedConfiguration):
                 decompose_nc(deep, iv(NODAL_V), stage)
+
+    def test_stage_too_long_to_report_refused_before_its_factorial(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)  # Python's default
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=(
+                "^stage 100000000 is too large to report: its numbers have more than the "
+                "4300 digits an integer may have in the output$")):
+            decompose_nc(NODAL, iv(NODAL_V), 10**8)
+        assert time.perf_counter() - start < 0.5
+
+    def test_strictify_refusal_comes_first_at_a_stage_too_long_to_report(self):
+        deep = NcComplex(("C",), (Crossing("N", (("C", 1), ("C", 2))),), ambient_dim=3)
+        with pytest.raises(UnsupportedConfiguration):
+            decompose_nc(deep, iv(NODAL_V), 10**8)
+
+    def test_stage_refused_where_its_factorial_passes_the_limit(self, monkeypatch):
+        # 200! has 375 digits and 201! has 378.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 375)
+        assert decompose_nc(NODAL, iv(NODAL_V), 200).level == (math.factorial(200),) * 2
+        with pytest.raises(ValueError, match="^stage 201 is too large to report: .* 375 digits"):
+            decompose_nc(NODAL, iv(NODAL_V), 201)
 
     def test_blowup_row_counts_codim_minus_one(self):
         v = iv({"X": 1, "T": 1, "C": 0, "E1": 0, "T@1": 0, "T@2": 0, "T@3": 0})

@@ -36,6 +36,7 @@ from logsod.monoids import (
     saturate,
 )
 from oracles import (
+    contains_by_enumeration,
     extremal_dirs_by_facets,
     extremal_rays_by_lp,
     face_strata_by_lp,
@@ -306,6 +307,19 @@ class TestSaturationAgainstLp:
             _outcome(is_saturated, m)
             saturate(m)
         assert tested
+
+
+class TestContainsAgainstEnumeration:
+    """The membership search against sums of at most w.v generators, w a
+    grading, on every point of the generator box."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_monoids().filter(is_sharp))
+    def test_box_points(self, m):
+        lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
+        hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
+        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            assert contains(m, p) == contains_by_enumeration(m, p), p
 
 
 # The cone is the plane and has no facet normals; no generator is a

@@ -28,6 +28,7 @@ from logsod.orders import (
     mod_one,
     normal_factorial_form,
     stage_level,
+    stage_size,
     strata_preorder,
     support_partition,
     vector_first_level,
@@ -156,6 +157,29 @@ class TestStageLevel:
         start = time.perf_counter()
         assert stage_level(stage, 0) == ()
         assert time.perf_counter() - start < 0.1
+
+
+class TestStageSize:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_below_the_bound_is_the_count(self, k):
+        for stage in range(1, 9):
+            size = math.factorial(stage) ** k
+            assert stage_size(stage, k, size + 1) == size
+            assert stage_size(stage, k, size) is None
+
+    def test_stages_below_one_count_as_one(self):
+        assert stage_size(0, 2, 2) == 1 and stage_size(-3, 1, 2) == 1
+
+    def test_zero_components_have_one_character(self):
+        assert stage_size(10**9, 0, 2) == 1
+        assert stage_size(10**9, 0, 1) is None
+
+    @pytest.mark.parametrize("stage", [10**8, 10**9])
+    def test_huge_stages_stop_at_the_bound(self, stage):
+        start = time.perf_counter()
+        assert stage_size(stage, 1, 10**4300) is None
+        assert stage_size(stage, 5, 600_001) is None
+        assert time.perf_counter() - start < 0.5
 
 
 class TestStandardOrder:
