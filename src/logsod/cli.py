@@ -48,7 +48,14 @@ def _scene_schema() -> dict:
     # costs milliseconds at start-up (and imports inspect on Python 3.12+).
     import pkgutil
 
-    return json.loads(pkgutil.get_data("logsod", "schemas/scene.schema.json"))
+    what = "cannot read the scene schema shipped with logsod"
+    try:
+        data = pkgutil.get_data("logsod", "schemas/scene.schema.json")
+    except OSError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+    if data is None:
+        raise ParseError(f"{what}: its package loader serves no data")
+    return json.loads(data)
 
 
 @functools.cache

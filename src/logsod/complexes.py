@@ -246,8 +246,8 @@ class NcComplex(Record):
         comp = set(components)
         if len(comp) != len(components):
             raise ValueError("component labels must be distinct")
-        names = [s.name for s in crossings]
-        if len(set(names)) != len(names):
+        names = {s.name for s in crossings}
+        if len(names) != len(crossings):
             raise ValueError("crossing names must be distinct")
         for s in crossings:
             for c, _ in s.branches:
@@ -258,7 +258,7 @@ class NcComplex(Record):
                     f"crossing {s.name} has codimension {s.codim} above the ambient dimension"
                 )
         for inner, outer in closure_pairs:
-            if inner not in set(names) or outer not in set(names):
+            if inner not in names or outer not in names:
                 raise ValueError(f"closure pair ({inner}, {outer}) names unknown crossings")
         _set(self, "components", components)
         _set(self, "crossings", crossings)
@@ -429,8 +429,8 @@ def normalized_names(
     stratum of its strictification lies on.
 
     simple is strictify_nc(nc)'s complex.  The empty stratum is the total
-    space X; an original component normalizes as in normalize_stratum; an
-    exceptional component stays itself; a deeper stratum lists the crossings
+    space X; a component, original or exceptional, normalizes to itself (as
+    in normalize_stratum); a deeper stratum lists the crossings
     of simple whose components are exactly the stratum, sorted by name, a
     blow-up crossing pointing back to the branch it separated.  None when no
     crossing of simple has those components.
@@ -440,8 +440,6 @@ def normalized_names(
         return (("X", 1),)
     if len(s) == 1:
         (c,) = s
-        if c in nc.components:
-            return tuple(normalize_stratum(nc, c))
         return ((str(c), 1),)
     on = sorted((x.name, x.origin) for x in simple.crossings if {c for c, _ in x.branches} == s)
     if not on:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from logsod import Record
 from logsod.complexes import (
@@ -34,7 +34,7 @@ from logsod.errors import (
     UnsupportedAction,
     UnsupportedConfiguration,
 )
-from logsod.orders import _is_prime, stage_level, stage_size
+from logsod.orders import _checked_level, _is_prime, stage_level
 
 __all__ = [
     "DecompositionReport",
@@ -269,12 +269,8 @@ class DecompositionReport(Record):
         return "\n".join(lines)
 
 
-def _label_sort_key(j: frozenset):
-    return (len(j), _label_key(j))
-
-
 def _proper_strata(cx: SncComplex) -> list[frozenset]:
-    return sorted((j for j in cx.nonempty if j), key=_label_sort_key)
+    return sorted((j for j in cx.nonempty if j), key=lambda j: (len(j), _label_key(j)))
 
 
 def _assemble(
@@ -295,15 +291,7 @@ def _assemble(
         contrib = value_scale(system, count, val)
         total = value_add(system, total, contrib)
         out.append(ReportRow(name, count, val, contrib, counting_function))
-    return DecompositionReport(
-        kind=kind,
-        value_system=system,
-        invariant=v.invariant,
-        base_value=base,
-        rows=tuple(out),
-        total=total,
-        **fields,
-    )
+    return DecompositionReport(kind, system, v.invariant, base, tuple(out), total, **fields)
 
 
 def _check_digits(what: str, values: Iterable) -> None:
@@ -312,9 +300,16 @@ def _check_digits(what: str, values: Iterable) -> None:
     written."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     ints = (x for v in values for x in (v if isinstance(v, tuple) else (v,)))
-    # An integer of at most 3.32 * limit bits is under 2**(3.32 * limit) < 10**limit.
-    if limit and any(abs(x) >= 10 ** limit for x in ints if x.bit_length() > 3.32 * limit):
+    if limit and any(_over_digits(x, limit) for x in ints):
         raise _too_long(what, limit)
+
+
+def _over_digits(x: int, limit: int) -> bool:
+    """Whether x has more than limit > 0 digits: told by its bit length, as
+    2**(3.32 * limit) < 10**limit < 2**(3.33 * limit), and by 10**limit only
+    in between."""
+    bits = x.bit_length()
+    return bits > 3.32 * limit and (bits > 3.33 * limit + 1 or abs(x) >= 10 ** limit)
 
 
 def _too_long(what: str, limit: int) -> ValueError:
@@ -322,42 +317,63 @@ def _too_long(what: str, limit: int) -> ValueError:
                       f"the {limit} digits an integer may have in the output")
 
 
+def _stage_level(stage: int, k: int) -> tuple[int, ...]:
+    """stage_level(stage, k), refused when n! has more digits than Python
+    writes (sys.get_int_max_str_digits()), with n! computed only that far."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if stage < 1 or not (limit and k):
+        return stage_level(stage, k)
+    fact = 1
+    for n in range(2, stage + 1):
+        fact *= n
+        if _over_digits(fact, limit):
+            raise _too_long(f"stage {stage}", limit)
+    return (fact,) * k
+
+
+def _stratum_products(
+    cx: SncComplex, orders: tuple[int, ...], strata: Iterable[frozenset]
+) -> Iterator[tuple[frozenset, int]]:
+    """(J, prod_{j in J} (r_j - 1)) per stratum J, r_j the order of
+    component j: the nonzero characters on J."""
+    less_one = {c: r - 1 for c, r in zip(cx.components, orders)}
+    for j in strata:
+        yield j, math.prod(map(less_one.__getitem__, j))
+
+
+def _product_report(
+    kind: str, cx: SncComplex, v: InvariantAssignment, orders: tuple[int, ...],
+    counting_function: Optional[str], **fields,
+) -> DecompositionReport:
+    """v(X) plus, per nonempty proper stratum J, prod_{j in J} (r_j - 1)
+    copies of v(D_J).  "{size}" in counting_function stands for |J|."""
+    return _assemble(kind, v, (
+        (cx.stratum_name(j), count,
+         counting_function and counting_function.format(size=len(j)))
+        for j, count in _stratum_products(cx, orders, _proper_strata(cx))
+    ), **fields)
+
+
 def decompose_finite(
     cx: SncComplex, level: Iterable[int], v: InvariantAssignment
 ) -> DecompositionReport:
     """Finite-level splitting: v(X) plus, per nonempty stratum, the product
     of (r_j - 1) over its components, many copies of the stratum value."""
-    level = tuple(int(r) for r in level)
-    if len(level) != len(cx.components):
-        raise ValueError("one cyclic order per component required")
-    if any(r < 1 for r in level):
-        raise ValueError("cyclic orders must be positive")
-    index = {c: i for i, c in enumerate(cx.components)}
-    return _assemble(
-        "finite",
-        v,
-        (
-            (cx.stratum_name(j), math.prod(level[index[c]] - 1 for c in j), None)
-            for j in _proper_strata(cx)
-        ),
+    level = _checked_level(level, len(cx.components))
+    return _product_report(
+        "finite", cx, v, level, None,
         level=level,
         notes=("total = v(X) + sum over nonempty strata of prod_j (r_j - 1) * v(D_J)",),
     )
 
 
-def decompose_kfl(
-    cx: SncComplex, v: InvariantAssignment, truncation: int
-) -> DecompositionReport:
+def decompose_kfl(cx: SncComplex, v: InvariantAssignment, truncation: int) -> DecompositionReport:
     """Kummer-flat truncation: counting functions (n!-1)^|J| per stratum,
-    evaluated at the given stage of the tower."""
-    level = stage_level(truncation, len(cx.components))
-    return _assemble(
-        "kfl",
-        v,
-        (
-            (cx.stratum_name(j), (level[0] - 1) ** len(j), f"(n!-1)^{len(j)}")
-            for j in _proper_strata(cx)
-        ),
+    evaluated at the given stage of the tower.  A stage whose n! has more
+    digits than Python writes (sys.get_int_max_str_digits()) is refused."""
+    level = _stage_level(truncation, len(cx.components))
+    return _product_report(
+        "kfl", cx, v, level, "(n!-1)^{size}",
         level=level,
         truncation=truncation,
         notes=(
@@ -380,14 +396,11 @@ def decompose_nc(
     depend on the strictification order, which this package fixes, so they
     are reproducible here but not canonical.  A stage whose level n! has
     more digits than Python writes (sys.get_int_max_str_digits()) is
-    refused after the strictification, before n! is computed.
+    refused after the strictification, before n! is computed in full.
     """
     simple, log = strictify_nc(nc)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and stage_size(truncation, 1, 10 ** limit) is None:
-        raise _too_long(f"stage {truncation}", limit)
+    level = _stage_level(truncation, len(simple.components))
     snc = snc_of_simple(simple)
-    level = stage_level(truncation, len(snc.components))
     mults: dict[str, int] = {}
     # In the factorial label order, of two strata the first labels of the
     # one holding the first component where they differ come first.  Walk
@@ -397,8 +410,7 @@ def decompose_nc(
         (s for s in snc.nonempty if s),
         key=lambda s: tuple(c not in s for c in snc.components),
     )
-    for s in walk:
-        count = (level[0] - 1) ** len(s)
+    for s, count in _stratum_products(snc, level, walk):
         if not count:
             continue
         names = normalized_names(nc, simple, s)
@@ -478,37 +490,18 @@ def etale_filter(
     prod_j (r_j' - 1).
 
     Exactly one of level and truncation must be given; a truncation n means
-    the diagonal n! level with the same filter applied.
+    the diagonal n! level with the same filter applied, refused as in
+    decompose_kfl.  The orders are checked first, then the prime, then the
+    values.
     """
     if (level is None) == (truncation is None):
         raise ValueError("give exactly one of level and truncation")
-    if truncation is not None:
-        level = stage_level(truncation, len(cx.components))
-    level = tuple(int(r) for r in level)
-    if len(level) != len(cx.components):
-        raise ValueError("one cyclic order per component required")
-    index = {c: i for i, c in enumerate(cx.components)}
-    prime_checked = False
-
-    def count(j: frozenset) -> int:
-        # Checked per stratum, so only the orders of nonempty strata are
-        # validated, and an order before the prime, which is tested once.
-        nonlocal prime_checked
-        orders = [level[index[c]] for c in j]
-        if any(r < 1 for r in orders):
-            raise ValueError("cyclic orders must be positive")
-        if not prime_checked and not _is_prime(p):
-            raise ValueError(f"prime_to must be prime, got {p}")
-        prime_checked = True
-        return math.prod(prime_to_part(r, p) - 1 for r in orders)
-
-    return _assemble(
-        "etale",
-        v,
-        (
-            (cx.stratum_name(j), count(j), f"prime-to-{p}")
-            for j in _proper_strata(cx)
-        ),
+    k = len(cx.components)
+    level = _checked_level(level, k) if truncation is None else _stage_level(truncation, k)
+    if not _is_prime(p):
+        raise ValueError(f"prime_to must be prime, got {p}")
+    return _product_report(
+        "etale", cx, v, tuple(prime_to_part(r, p) for r in level), f"prime-to-{p}",
         level=level,
         truncation=truncation,
         notes=(f"characters with denominator divisible by {p} are dropped",),

@@ -164,6 +164,16 @@ def _tower_level(q: int) -> tuple[int, int]:
     return n, f
 
 
+def _checked_level(level: Iterable[int], k: int) -> tuple[int, ...]:
+    """level as a tuple of ints, one positive cyclic order per component."""
+    level = tuple(int(r) for r in level)
+    if len(level) != k:
+        raise ValueError("one cyclic order per component required")
+    if any(r < 1 for r in level):
+        raise ValueError("cyclic orders must be positive")
+    return level
+
+
 def stage_level(stage: int, k: int) -> tuple[int, ...]:
     """(n!,) * k, the level of stage n of the factorial tower over k
     components.  Zero components take any positive stage, and n! is not
@@ -467,9 +477,7 @@ def enumerate_characters(
     a suffix of the axis and its level-L characters a prefix of the cut;
     both are sliced at bounds found by bisection.
     """
-    orders = [int(r) for r in orders]
-    if any(r < 1 for r in orders):
-        raise ValueError("cyclic orders must be positive")
+    orders = _checked_level(orders, len(orders))
     chosen = sorted(set(int(j) for j in support))
     if chosen and not (1 <= chosen[0] and chosen[-1] <= len(orders)):
         raise ValueError(f"support indices out of range 1..{len(orders)}: {chosen}")

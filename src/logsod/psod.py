@@ -30,6 +30,7 @@ from logsod.complexes import (
 from logsod.errors import NonDiagonalLevel, TooManyLabels
 from logsod.orders import (
     CharVector,
+    _checked_level,
     _standard_axis,
     cmp_factorial_vector,
     enumerate_characters,
@@ -134,10 +135,7 @@ class PsodDescriptor(Record):
     ) -> None:
         if order not in ("standard", "factorial"):
             raise ValueError(f"unknown order tag {order!r}")
-        if len(level) != len(components):
-            raise ValueError("one cyclic order per component required")
-        if any(r < 1 for r in level):
-            raise ValueError("cyclic orders must be positive")
+        level = _checked_level(level, len(components))
         if len(set(components)) != len(components):
             raise ValueError("component labels must be distinct")
         if truncation is not None and (truncation < 0 or any(
@@ -196,9 +194,6 @@ class PsodDescriptor(Record):
     @property
     def zero_factors(self) -> tuple[FactorLabel, ...]:
         return tuple(lab for lab in self.iter_labels() if lab.zero)
-
-    def base_label(self) -> FactorLabel:
-        return next(lab for lab in self.iter_labels() if lab.provenance == BASE)
 
     def to_json(self) -> dict:
         out = self.json_outline()
@@ -281,9 +276,7 @@ def psod_snc(cx: SncComplex, level: Iterable[int], order: str = "factorial") -> 
     by exact support; supports that are empty in the incidence data are kept
     but flagged.  The factorial order requires a diagonal factorial level.
     """
-    level = tuple(int(r) for r in level)
-    if len(level) != len(cx.components):
-        raise ValueError("one cyclic order per component required")
+    level = _checked_level(level, len(cx.components))
     if order == "factorial":
         if len(set(level)) > 1 or (level and _is_factorial(level[0]) is None):
             raise NonDiagonalLevel(

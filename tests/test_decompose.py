@@ -93,6 +93,16 @@ THREE_LINES_V = {
 
 NODAL_V = {"X": 10, "N": 1, "C": 3, "E1": 2, "N@1": 5, "N@2": 7}
 
+TWO = snc_from_divisors(("A", "B"), [[], ["A"], ["B"], ["A", "B"]])
+TWO_V = {"X": 5, "D_{A}": 3, "D_{B}": 2, "D_{A,B}": 1}
+
+# The decompositions that take a tower stage, each over two components.
+STAGE_CALLS = {
+    "decompose_nc": lambda n: decompose_nc(NODAL, iv(NODAL_V), n),
+    "decompose_kfl": lambda n: decompose_kfl(TWO, iv(TWO_V), n),
+    "etale_filter": lambda n: etale_filter(TWO, iv(TWO_V), 2, truncation=n),
+}
+
 
 def combine(v: InvariantAssignment, w: InvariantAssignment) -> InvariantAssignment:
     assert set(v.values) == set(w.values)
@@ -330,13 +340,14 @@ class TestDecomposeNc:
             with pytest.raises(UnsupportedConfiguration):
                 decompose_nc(deep, iv(NODAL_V), stage)
 
-    def test_stage_too_long_to_report_refused_before_its_factorial(self, monkeypatch):
+    @pytest.mark.parametrize("decompose", STAGE_CALLS.values(), ids=STAGE_CALLS)
+    def test_stage_too_long_to_report_refused_before_its_factorial(self, monkeypatch, decompose):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)  # Python's default
         start = time.perf_counter()
         with pytest.raises(ValueError, match=(
                 "^stage 100000000 is too large to report: its numbers have more than the "
                 "4300 digits an integer may have in the output$")):
-            decompose_nc(NODAL, iv(NODAL_V), 10**8)
+            decompose(10**8)
         assert time.perf_counter() - start < 0.5
 
     def test_strictify_refusal_comes_first_at_a_stage_too_long_to_report(self):
@@ -344,12 +355,18 @@ class TestDecomposeNc:
         with pytest.raises(UnsupportedConfiguration):
             decompose_nc(deep, iv(NODAL_V), 10**8)
 
-    def test_stage_refused_where_its_factorial_passes_the_limit(self, monkeypatch):
+    @pytest.mark.parametrize("decompose", STAGE_CALLS.values(), ids=STAGE_CALLS)
+    def test_stage_refused_where_its_factorial_passes_the_limit(self, monkeypatch, decompose):
         # 200! has 375 digits and 201! has 378.
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 375)
-        assert decompose_nc(NODAL, iv(NODAL_V), 200).level == (math.factorial(200),) * 2
+        assert decompose(200).level == (math.factorial(200),) * 2
         with pytest.raises(ValueError, match="^stage 201 is too large to report: .* 375 digits"):
-            decompose_nc(NODAL, iv(NODAL_V), 201)
+            decompose(201)
+
+    @pytest.mark.parametrize("decompose", STAGE_CALLS.values(), ids=STAGE_CALLS)
+    def test_no_stage_refused_without_a_limit(self, monkeypatch, decompose):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert decompose(2000).level == (math.factorial(2000),) * 2
 
     def test_blowup_row_counts_codim_minus_one(self):
         v = iv({"X": 1, "T": 1, "C": 0, "E1": 0, "T@1": 0, "T@2": 0, "T@3": 0})
@@ -552,6 +569,15 @@ class TestEtaleFilter:
         monkeypatch.setattr("logsod.decompose._is_prime", lambda p: not calls.append(p))
         etale_filter(cx, v, 2, level=(4, 6, 5))
         assert calls == [2]
+
+    def test_orders_checked_before_the_prime_and_the_values(self):
+        cx, no_base = three_lines(), iv({"D_{1}": 1})
+        with pytest.raises(ValueError, match="^cyclic orders must be positive$"):
+            etale_filter(cx, no_base, 4, level=(4, 6, 0))
+        with pytest.raises(ValueError, match="^prime_to must be prime, got 4$"):
+            etale_filter(cx, no_base, 4, level=(4, 6, 5))
+        with pytest.raises(MissingValue):
+            etale_filter(cx, no_base, 2, level=(4, 6, 5))
 
     def test_exactly_one_selector(self):
         v = iv({"X": 2, "D_{D}": 1})

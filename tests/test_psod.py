@@ -262,6 +262,10 @@ class TestPsodSnc:
         with pytest.raises(ValueError, match="order tag"):
             psod_snc(cx, (2, 6), order="weird")
 
+    def test_orders_checked_before_the_diagonal(self):
+        with pytest.raises(ValueError, match="^cyclic orders must be positive$"):
+            psod_snc(two_divisors(), (0, 0), order="factorial")
+
     def test_matches_single_on_one_component(self):
         a = psod_snc(single_divisor(), (6,), order="factorial")
         b = psod_single(3)

@@ -169,3 +169,28 @@ class TestAgainstJsonschema:
                 with pytest.raises(ParseError) as got:
                     load_scene(str(path))
                 assert str(got.value) == want
+
+
+class TestShippedSchema:
+    @pytest.mark.parametrize("failure", ["missing-file", "no-loader-data"])
+    def test_unreadable_schema_exits_2(self, monkeypatch, capsys, tmp_path, failure):
+        import pkgutil
+
+        from logsod import cli
+
+        def get_data(package, resource):
+            if failure == "missing-file":
+                raise FileNotFoundError(2, "No such file or directory", resource)
+            return None  # what a loader that serves no data returns
+
+        path = tmp_path / "monoid.json"
+        path.write_text('{"kind": "monoid", "rank": 1, "generators": [[1]]}', encoding="utf-8")
+        monkeypatch.setattr(pkgutil, "get_data", get_data)
+        cli._scene_schema.cache_clear()
+        try:
+            assert cli.main(["monoid", str(path)]) == cli.EXIT_PARSE
+        finally:
+            cli._scene_schema.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read the scene schema shipped with logsod: ")
+        assert "Traceback" not in err
