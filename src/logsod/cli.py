@@ -232,16 +232,15 @@ def _vec(v) -> str:
 
 
 def cmd_monoid(args) -> int:
-    from logsod.monoids import (
-        extremal_rays, face_strata, indecomposables, is_saturated, is_simplicial,
-    )
+    from logsod.intlinalg import rational_rank
+    from logsod.monoids import extremal_rays, face_strata, indecomposables, is_saturated
 
     data = load_scene(args.scene)
     if data["kind"] != "monoid":
         raise ParseError("monoid command needs a monoid scene")
     m = _build_monoid(data)
     rays = extremal_rays(m)
-    simplicial = is_simplicial(m)
+    simplicial = rational_rank(rays) == len(rays)
     faces = face_strata(m)
     payload = {
         "rank": m.ambient_rank,

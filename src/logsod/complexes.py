@@ -423,16 +423,17 @@ def normalize_stratum(nc: NcComplex, stratum) -> list[tuple[str, int]]:
 
 
 def normalized_names(
-    nc: NcComplex, simple: NcComplex, stratum
+    simple: NcComplex, stratum
 ) -> Optional[tuple[tuple[str, int], ...]]:
     """Normalized strata of the original pair, with multiplicities, that a
     stratum of its strictification lies on.
 
-    simple is strictify_nc(nc)'s complex.  The empty stratum is the total
-    space X; a component, original or exceptional, normalizes to itself (as
-    in normalize_stratum); a deeper stratum lists the crossings
-    of simple whose components are exactly the stratum, sorted by name, a
-    blow-up crossing pointing back to the branch it separated.  None when no
+    simple is strictify_nc's complex of the original pair.  The empty
+    stratum is the total space X; a component, original or exceptional,
+    normalizes to itself (as in normalize_stratum); a deeper stratum lists
+    the crossings of simple whose components are exactly the stratum,
+    sorted by name, a blow-up crossing pointing back to the branch it
+    separated.  None when no
     crossing of simple has those components.
     """
     s = frozenset(stratum)

@@ -413,7 +413,7 @@ def decompose_nc(
     for s, count in _stratum_products(snc, level, walk):
         if not count:
             continue
-        names = normalized_names(nc, simple, s)
+        names = normalized_names(simple, s)
         if names is None:
             raise UnsupportedConfiguration(
                 f"stratum {sorted(s, key=str)} has no crossing records "

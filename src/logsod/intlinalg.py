@@ -3,12 +3,13 @@
 All routines work on plain python ints and fractions.Fraction; no floating
 point anywhere.  Matrices are lists of row lists.  Sizes are expected to be
 small (ranks <= 8 or so), so the implementations favour clarity and exactness
-over asymptotics.  The rational routines convert their inputs to Fraction
-themselves, so callers pass ints or Fractions as they have them.
+over asymptotics.  The rational routines take ints and Fractions alike,
+so callers pass them as they have them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -192,9 +193,27 @@ def _gauss_jordan(mat: list[list[Fraction]], ncols: int) -> list[tuple[int, int]
 
 
 def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank over Q by Gauss-Jordan elimination with exact fractions."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
+    """Rank over Q by fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968): each row is scaled to integers by the lcm of its denominators,
+    and every division after that is exact, so the entries stay minors."""
+    a = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (den // v.denominator) for v in row])
+    rank, prev = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def solve_linear(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from logsod import Record
 from logsod.errors import BoxTooLarge, NotSharp, NotSimplicial, ParseError, TooManyFaces, ZeroMonoid
@@ -110,27 +110,7 @@ def extremal_rays(m: ToricMonoid) -> list[LatticeVector]:
     more than FACET_PASS_CAP subsets to take facets from, is answered with
     one LP per direction.
     """
-    if not m.generators:
-        raise ZeroMonoid("monoid has no generators")
-    lattice = group_lattice(m)
-    by_dir: dict[LatticeVector, list[LatticeVector]] = {}
-    for g in m.generators:
-        by_dir.setdefault(_primitive(g), []).append(g)
-    extremal = None
-    if math.comb(len(by_dir), len(lattice) - 1) <= FACET_PASS_CAP:
-        pivots, normals = _facets(m.generators, lattice)
-        zero, pos = _sign_masks(by_dir, pivots, normals)
-        if all(pos.values()):  # pointed
-            extremal = [d for d in by_dir if not any(
-                e != d and not zero[d] & ~zero[e] for e in by_dir
-            )]
-    if extremal is None:
-        extremal = []
-        for d in by_dir:
-            others = [g for g in m.generators if _primitive(g) != d]
-            if not others or nonneg_combination(others, d) is None:
-                extremal.append(d)
-    return sorted(_lattice_primitive(d, by_dir[d][0], lattice) for d in extremal)
+    return _Cone(m, FACET_PASS_CAP).rays()
 
 
 def _lattice_primitive(
@@ -284,16 +264,57 @@ def _sign_masks(
     return zero, pos
 
 
-def _cone_membership(m: ToricMonoid, own_lattice: bool) -> Callable[[Sequence[int]], bool]:
-    """Predicate for the lattice points of the cone over the generators: the
+class _Cone:
+    """One pass over the cone of a monoid's generators, which the rays, the
+    faces and the saturation read: the group lattice's Hermite basis, the
+    generators by primitive direction and, when there are at most `cap`
+    (r - 1)-subsets of directions to take facets from (cap None: any
+    number), the pivot columns, the facet normals, each direction's sign
+    masks and whether the cone is pointed: every direction strictly
+    positive on some normal.  Without the normals, all of these are None.
+    """
+
+    __slots__ = ("monoid", "basis", "by_dir", "pivots", "normals", "zero", "pos", "pointed")
+
+    def __init__(self, m: ToricMonoid, cap: Optional[int]) -> None:
+        self.monoid = m
+        self.basis = group_lattice(m)
+        self.by_dir: dict[LatticeVector, list[LatticeVector]] = {}
+        for g in m.generators:
+            self.by_dir.setdefault(_primitive(g), []).append(g)
+        self.pivots = self.normals = self.zero = self.pos = self.pointed = None
+        if cap is None or math.comb(len(self.by_dir), len(self.basis) - 1) <= cap:
+            self.pivots, self.normals = _facets(m.generators, self.basis)
+            self.zero, self.pos = _sign_masks(self.by_dir, self.pivots, self.normals)
+            self.pointed = all(self.pos.values())
+
+    def rays(self) -> list[LatticeVector]:
+        """extremal_rays: from the sign masks of a pointed cone, else by one
+        LP per direction."""
+        by_dir, zero = self.by_dir, self.zero
+        if self.pointed:
+            extremal = [d for d in by_dir if not any(
+                e != d and not zero[d] & ~zero[e] for e in by_dir
+            )]
+        else:
+            gens = self.monoid.generators
+            extremal = []
+            for d in by_dir:
+                others = [g for g in gens if _primitive(g) != d]
+                if not others or nonneg_combination(others, d) is None:
+                    extremal.append(d)
+        return sorted(_lattice_primitive(d, by_dir[d][0], self.basis) for d in extremal)
+
+
+def _cone_membership(cone: _Cone, own_lattice: bool) -> Callable[[Sequence[int]], bool]:
+    """Predicate for the lattice points of a cone with facet normals: the
     monoid's group lattice when own_lattice, else the ambient lattice.
 
     A point is in the cone when no facet normal is negative on it, and in
     the span when D times it is in the group lattice, D the product of the
     Hermite pivots.
     """
-    basis = group_lattice(m)
-    pivots, normals = _facets(m.generators, basis)
+    basis, pivots, normals = cone.basis, cone.pivots, cone.normals
     scale = 1 if own_lattice else math.prod(row[p] for row, p in zip(basis, pivots))
 
     def member(v: Sequence[int]) -> bool:
@@ -305,9 +326,10 @@ def _cone_membership(m: ToricMonoid, own_lattice: bool) -> Callable[[Sequence[in
     return member
 
 
-def _cone_points_minimal(m: ToricMonoid, own_lattice: bool) -> list[LatticeVector]:
+def _cone_points_minimal(m: ToricMonoid, own_lattice: bool) -> tuple[list[LatticeVector], bool]:
     """Minimal generators of the cone's lattice points within the generator
-    box: the group lattice when own_lattice, else the ambient lattice.
+    box (the group lattice when own_lattice, else the ambient lattice),
+    and whether the cone is pointed.
 
     These are the box points that are not another box point plus a nonzero
     cone point.  For a sharp cone they are the Hilbert basis of the
@@ -315,28 +337,37 @@ def _cone_points_minimal(m: ToricMonoid, own_lattice: bool) -> list[LatticeVecto
     2009): every Hilbert basis element lies in the zonotope of the
     generators, which sits inside the box, and every reducible point is
     reduced by one of them.
+
+    Of two such points, the first less the second is a cone point of the
+    lattice exactly when the first is at least the second on every facet
+    normal, so the points are compared by their vectors of facet values.
+    In a pointed cone the sum of the values is a grading, and the points
+    are reduced in its order against the minimal points found so far
+    (Bruns and Ichim, Normaliz, J. Algebra 324, 2010); a cone with a line
+    compares every pair.
     """
     lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2_000_000:
         raise BoxTooLarge("generator box too large for desk-scale saturation")
-    member = _cone_membership(m, own_lattice)
-    points = [
-        p
-        for p in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-        if any(p) and member(p)
-    ]
+    cone = _Cone(m, None)
+    member = _cone_membership(cone, own_lattice)
+    pivots, normals = cone.pivots, cone.normals
+    points = []
+    for p in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        if any(p) and member(p):
+            x = [p[k] for k in pivots]
+            points.append((p, [sum(a * b for a, b in zip(n, x)) for n in normals]))
+    if cone.pointed:
+        points.sort(key=lambda point: sum(point[1]))
     minimal = []
-    for g in points:
-        decomposable = False
-        for h in points:
-            rest = tuple(a - b for a, b in zip(g, h))
-            if any(rest) and member(rest):
-                decomposable = True
-                break
-        if not decomposable:
-            minimal.append(g)
-    return sorted(minimal)
+    for g, gv in points:
+        if not any(
+            h is not g and all(a >= b for a, b in zip(gv, hv))
+            for h, hv in (minimal if cone.pointed else points)
+        ):
+            minimal.append((g, gv))
+    return sorted(g for g, _ in minimal), cone.pointed
 
 
 def saturate(m: ToricMonoid) -> ToricMonoid:
@@ -346,7 +377,7 @@ def saturate(m: ToricMonoid) -> ToricMonoid:
     """
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
-    return ToricMonoid(m.ambient_rank, tuple(_cone_points_minimal(m, False)))
+    return ToricMonoid(m.ambient_rank, tuple(_cone_points_minimal(m, False)[0]))
 
 
 def is_saturated(m: ToricMonoid) -> bool:
@@ -357,14 +388,14 @@ def is_saturated(m: ToricMonoid) -> bool:
     monoid is saturated exactly when each of them is in it.  In a sharp
     monoid that means each is a generator: a box-minimal point that is a sum
     of two or more generators would be reduced by one of them, and the
-    generators are box points.
+    generators are box points.  Sharpness is read off the same facet pass.
     """
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
-    minimal = _cone_points_minimal(m, True)
+    minimal, pointed = _cone_points_minimal(m, True)
     # The inclusion test needs sharpness; a cone with a line leaves no
     # box-minimal points, as each is reduced along the line.
-    if minimal and not is_sharp(m):
+    if minimal and not pointed:
         raise NotSharp("membership search requires a sharp monoid")
     return set(minimal) <= set(m.generators)
 
@@ -488,10 +519,13 @@ def face_strata(m: ToricMonoid) -> Preorder:
     generators, listed by increasing dimension; the zero face is the empty
     tuple and the full cone is the tuple of all rays.  A ray subset is a
     face when every other ray is strictly positive on some facet normal of
-    the rays' cone that vanishes on the whole subset.  Raises TooManyFaces
-    when the rays have more than FACE_SUBSET_CAP subsets.
+    the rays' cone that vanishes on the whole subset.  A pointed cone is
+    the cone over its rays, so its facet pass serves; otherwise the rays'
+    own cone is taken.  Raises TooManyFaces when the rays have more than
+    FACE_SUBSET_CAP subsets.
     """
-    rays = extremal_rays(m)
+    cone = _Cone(m, FACET_PASS_CAP)
+    rays = cone.rays()
     if 2 ** len(rays) > FACE_SUBSET_CAP:
         raise TooManyFaces(
             f"a cone with {len(rays)} extremal rays has {2 ** len(rays)} ray "
@@ -499,8 +533,13 @@ def face_strata(m: ToricMonoid) -> Preorder:
         )
     faces = [tuple(rays)]
     if rays:
-        pivots, normals = _facets(rays, hermite_row_basis(rays, m.ambient_rank))
-        zero, pos = _sign_masks(rays, pivots, normals)
+        if cone.pointed:
+            normals = cone.normals
+            zero = {r: cone.zero[_primitive(r)] for r in rays}
+            pos = {r: cone.pos[_primitive(r)] for r in rays}
+        else:
+            pivots, normals = _facets(rays, hermite_row_basis(rays, m.ambient_rank))
+            zero, pos = _sign_masks(rays, pivots, normals)
         everywhere = (1 << len(normals)) - 1
         for k in range(len(rays)):
             for sub in combinations(rays, k):

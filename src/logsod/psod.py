@@ -439,7 +439,7 @@ def psod_nc(nc: NcComplex, truncation: int) -> PsodDescriptor:
     simple, log = strictify_nc(nc)
     snc = snc_of_simple(simple)
     level = _stage_level(truncation, len(snc.components))
-    names = frozenset((s, normalized_names(nc, simple, s)) for s in snc.nonempty)
+    names = frozenset((s, normalized_names(simple, s)) for s in snc.nonempty)
     breakdown = tuple((step.stratum, step.codim - 1) for step in log.steps)
     return PsodDescriptor(
         snc.components, snc.nonempty, "factorial", level, truncation, breakdown, names

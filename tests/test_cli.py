@@ -132,6 +132,22 @@ class TestMonoidCommand:
         assert data["simplicial"] is False
         assert len(data["rays"]) == 4
 
+    def test_one_facet_pass_per_cone_reader(self, tmp_path, capsys, monkeypatch):
+        # The rays, the faces and the saturation each take one facet pass
+        # on the README monoid; the simplicial flag reads the rays.
+        from logsod import monoids
+
+        calls = []
+        real = monoids._facets
+
+        def counted(gens, basis):
+            calls.append(gens)
+            return real(gens, basis)
+
+        monkeypatch.setattr(monoids, "_facets", counted)
+        run_json(capsys, ["monoid", write_scene(tmp_path, A1_SCENE)])
+        assert len(calls) <= 3
+
     def test_wrong_scene_kind(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, ["monoid", write_scene(tmp_path, LINE_SCENE)])
         assert code == EXIT_PARSE

@@ -241,7 +241,7 @@ class TestStrictify:
         assert set(snc.components) == {"C", "E1"}
         assert snc.is_nonempty({"C", "E1"})
         simple, _ = strictify_nc(NODAL)
-        assert normalized_names(NODAL, simple, {"C", "E1"}) == (("N@1", 1), ("N@2", 1))
+        assert normalized_names(simple, {"C", "E1"}) == (("N@1", 1), ("N@2", 1))
 
     def test_nodal_rewritten_complex(self):
         simple, log = strictify_nc(NODAL)
@@ -269,7 +269,7 @@ class TestStrictify:
         )
         simple, log = strictify_nc(triple)
         assert [s.codim for s in log.steps] == [3]
-        assert normalized_names(triple, simple, {"C", "E1"}) == (
+        assert normalized_names(simple, {"C", "E1"}) == (
             ("T@1", 1), ("T@2", 1), ("T@3", 1))
 
     def test_deepest_first(self):
@@ -290,7 +290,7 @@ class TestStrictify:
         snc, log = strictify(SIMPLE_X)
         assert log.steps == ()
         assert set(snc.components) == {"A", "B"}
-        assert normalized_names(SIMPLE_X, SIMPLE_X, {"A", "B"}) == (("S", 1),)
+        assert normalized_names(SIMPLE_X, {"A", "B"}) == (("S", 1),)
 
     def test_exceptional_names_avoid_collisions(self):
         cx = NcComplex(

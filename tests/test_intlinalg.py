@@ -19,6 +19,7 @@ from logsod.intlinalg import (
     smith_normal_form,
     solve_linear,
 )
+from oracles import rank
 
 
 def mat_mul(a, b):
@@ -143,6 +144,40 @@ def systems(draw):
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
     return rows, [draw(_entries) for _ in range(m)]
+
+
+@st.composite
+def low_rank_rows(draw, entries):
+    """Up to 6 rows of up to 6 entries, each row a combination of at most
+    four base rows, so that ranks below full are common; the entries of
+    the base rows and the coefficients come from `entries`."""
+    m, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    base = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    zero = 0 * draw(entries)
+    rows = []
+    for _ in range(m):
+        coeffs = [draw(entries) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), zero) for j in range(n)])
+    return rows
+
+
+# Small entries make zero pivots and row swaps common; large ones make the
+# fraction-free entries grow.
+_ints = st.one_of(st.integers(-2, 2), st.integers(-30, 30))
+
+
+class TestRankAgainstOracle:
+    """The fraction-free rank against the oracle's Fraction elimination."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(low_rank_rows(_ints))
+    def test_int_rows(self, rows):
+        assert rational_rank(rows) == rank(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(low_rank_rows(st.builds(Fraction, _ints, st.integers(1, 12))))
+    def test_fraction_rows(self, rows):
+        assert rational_rank(rows) == rank(rows)
 
 
 class TestEliminationAgainstSympy:

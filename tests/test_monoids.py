@@ -309,6 +309,17 @@ class TestSaturationAgainstLp:
         assert tested
 
 
+class TestThinConesAgainstLp:
+    """The cone over (1, 0) and (1, k) holds k + 1 minimal points, found by
+    the reduction in degree order; the LP route compares every pair."""
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_saturation_matches_lp(self, k):
+        m = ToricMonoid(2, ((1, 0), (1, k)))
+        assert saturate(m).generators == saturate_by_lp(m) == tuple((1, j) for j in range(k + 1))
+        assert is_saturated(m) is is_saturated_by_lp(m) is True
+
+
 class TestContainsAgainstEnumeration:
     """The membership search against sums of at most w.v generators, w a
     grading, on every point of the generator box."""
@@ -406,6 +417,7 @@ class TestFacesAgainstLp:
         for m in [*(case.monoid for case in monoid_library), SQUARE_CONE, UNSATURATED]:
             assert extremal_rays(m)
             face_strata(m)
+            is_saturated(m)
 
 
 class TestBareissDeterminant:
