@@ -242,13 +242,15 @@ def cmd_monoid(args) -> int:
     rays = extremal_rays(m)
     simplicial = rational_rank(rays) == len(rays)
     faces = face_strata(m)
+    # before the saturation flag, so a cone with a line keeps this refusal
+    indecomposable = indecomposables(m)
     payload = {
         "rank": m.ambient_rank,
         "generators": [list(g) for g in m.generators],
         "rays": [list(r) for r in rays],
         "simplicial": simplicial,
         "saturated": is_saturated(m),
-        "indecomposables": [list(q) for q in indecomposables(m)],
+        "indecomposables": [list(q) for q in indecomposable],
         "faces": [[list(r) for r in f] for f in faces.elements],
     }
 

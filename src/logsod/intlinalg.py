@@ -4,7 +4,9 @@ All routines work on plain python ints and fractions.Fraction; no floating
 point anywhere.  Matrices are lists of row lists.  Sizes are expected to be
 small (ranks <= 8 or so), so the implementations favour clarity and exactness
 over asymptotics.  The rational routines take ints and Fractions alike,
-so callers pass them as they have them.
+so callers pass them as they have them.  Rank and solve read one
+fraction-free (Bareiss) elimination of rows scaled to integers; only the
+phase-1 simplex pivots in Fractions.
 """
 
 from __future__ import annotations
@@ -170,67 +172,52 @@ def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] > 1]
 
 
-def _gauss_jordan(mat: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
-    """Reduce `mat` in place over its first `ncols` columns; returns the
-    (row, column) pivots, in order.  Pivot rows come first and are scaled to
-    a unit pivot, and every other row is zero in each pivot column."""
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, col))
-        r += 1
-    return pivots
-
-
-def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank over Q by fraction-free elimination (Bareiss, Math. Comp. 22,
-    1968): each row is scaled to integers by the lcm of its denominators,
-    and every division after that is exact, so the entries stay minors."""
+def _echelon(rows: Sequence[Sequence[Rational]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over the
+    first `ncols` columns: each row is scaled to integers by the lcm of its
+    denominators, and every division after that is exact, so the entries
+    stay minors.  Returns the rows, pivot rows first, and the pivot columns:
+    the leftmost columns independent of the columns before them."""
     a = []
     for row in rows:
         den = math.lcm(*(v.denominator for v in row))
         a.append([v.numerator * (den // v.denominator) for v in row])
-    rank, prev = 0, 1
-    for col in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
         p = top[col]
-        for i in range(rank + 1, len(a)):
+        for i in range(r + 1, len(a)):
             f = a[i][col]
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
-        rank += 1
-    return rank
+        pivots.append(col)
+    return a, pivots
+
+
+def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank over Q: the number of pivots of the fraction-free elimination."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def solve_linear(
     a_rows: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    Free variables, if any, are set to zero, so the output is deterministic.
-    """
+    """One exact solution x of A x = b, or None if inconsistent: the
+    fraction-free elimination of [A | b], then back-substitution with the
+    free variables set to zero, so the output is deterministic."""
     n = len(a_rows[0]) if a_rows else 0
-    mat = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    pivots = _gauss_jordan(mat, n)
-    if any(row[n] != 0 for row in mat[len(pivots):]):
+    a, pivots = _echelon([[*row, b[i]] for i, row in enumerate(a_rows)], n)
+    if any(row[n] for row in a[len(pivots):]):
         return None
     x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = mat[row][n]
+    for row, col in reversed(list(zip(a, pivots))):
+        x[col] = Fraction(row[n] - sum(row[j] * x[j] for j in range(col + 1, n)), row[col])
     return x
 
 

@@ -245,6 +245,14 @@ def _facets(
     return pivots, list(normals)
 
 
+def _facet_values(
+    v: Sequence[int], pivots: Sequence[int], normals: Sequence[LatticeVector]
+) -> list[int]:
+    """The values of the facet normals on `v`, read in the pivot columns."""
+    x = [v[p] for p in pivots]
+    return [sum(a * b for a, b in zip(n, x)) for n in normals]
+
+
 def _sign_masks(
     vecs: Sequence[LatticeVector], pivots: Sequence[int], normals: Sequence[LatticeVector]
 ) -> tuple[dict[LatticeVector, int], dict[LatticeVector, int]]:
@@ -252,10 +260,8 @@ def _sign_masks(
     strictly positive on it."""
     zero, pos = {}, {}
     for v in vecs:
-        x = [v[p] for p in pivots]
         vanish = positive = 0
-        for i, n in enumerate(normals):
-            s = sum(a * b for a, b in zip(n, x))
+        for i, s in enumerate(_facet_values(v, pivots, normals)):
             if s == 0:
                 vanish |= 1 << i
             elif s > 0:
@@ -318,86 +324,77 @@ def _cone_membership(cone: _Cone, own_lattice: bool) -> Callable[[Sequence[int]]
     scale = 1 if own_lattice else math.prod(row[p] for row, p in zip(basis, pivots))
 
     def member(v: Sequence[int]) -> bool:
-        x = [v[p] for p in pivots]
-        if any(sum(a * b for a, b in zip(n, x)) < 0 for n in normals):
+        if any(s < 0 for s in _facet_values(v, pivots, normals)):
             return False
         return in_row_span(basis, [scale * c for c in v])
 
     return member
 
 
-def _cone_points_minimal(m: ToricMonoid, own_lattice: bool) -> tuple[list[LatticeVector], bool]:
+def _cone_points_minimal(m: ToricMonoid, own_lattice: bool) -> list[LatticeVector]:
     """Minimal generators of the cone's lattice points within the generator
-    box (the group lattice when own_lattice, else the ambient lattice),
-    and whether the cone is pointed.
+    box (the group lattice when own_lattice, else the ambient lattice).
+    Raises NotSharp when the cone has a line.
 
     These are the box points that are not another box point plus a nonzero
-    cone point.  For a sharp cone they are the Hilbert basis of the
-    saturated monoid (Bruns and Gubeladze, Polytopes, Rings, and K-Theory,
-    2009): every Hilbert basis element lies in the zonotope of the
-    generators, which sits inside the box, and every reducible point is
-    reduced by one of them.
+    cone point: the Hilbert basis of the saturated monoid (Bruns and
+    Gubeladze, Polytopes, Rings, and K-Theory, 2009).  Every Hilbert basis
+    element lies in the zonotope of the generators, which sits inside the
+    box, and every reducible point is reduced by one of them.
 
     Of two such points, the first less the second is a cone point of the
     lattice exactly when the first is at least the second on every facet
     normal, so the points are compared by their vectors of facet values.
-    In a pointed cone the sum of the values is a grading, and the points
-    are reduced in its order against the minimal points found so far
-    (Bruns and Ichim, Normaliz, J. Algebra 324, 2010); a cone with a line
-    compares every pair.
+    The sum of the values is a grading, and the points are reduced in its
+    order against the minimal points found so far (Bruns and Ichim,
+    Normaliz, J. Algebra 324, 2010).
     """
     lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2_000_000:
         raise BoxTooLarge("generator box too large for desk-scale saturation")
     cone = _Cone(m, None)
+    if not cone.pointed:
+        raise NotSharp("membership search requires a sharp monoid")
     member = _cone_membership(cone, own_lattice)
     pivots, normals = cone.pivots, cone.normals
     points = []
     for p in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         if any(p) and member(p):
-            x = [p[k] for k in pivots]
-            points.append((p, [sum(a * b for a, b in zip(n, x)) for n in normals]))
-    if cone.pointed:
-        points.sort(key=lambda point: sum(point[1]))
+            points.append((p, _facet_values(p, pivots, normals)))
+    points.sort(key=lambda point: sum(point[1]))
     minimal = []
     for g, gv in points:
-        if not any(
-            h is not g and all(a >= b for a, b in zip(gv, hv))
-            for h, hv in (minimal if cone.pointed else points)
-        ):
+        if not any(all(a >= b for a, b in zip(gv, hv)) for _, hv in minimal):
             minimal.append((g, gv))
-    return sorted(g for g, _ in minimal), cone.pointed
+    return sorted(g for g, _ in minimal)
 
 
 def saturate(m: ToricMonoid) -> ToricMonoid:
-    """Monoid of all ambient lattice points of the cone over the generators.
+    """Monoid of all ambient lattice points of the cone over the generators;
+    raises NotSharp when the cone has a line.
 
     Desk-scale only: the search box grows with rank and coordinate size.
     """
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
-    return ToricMonoid(m.ambient_rank, tuple(_cone_points_minimal(m, False)[0]))
+    return ToricMonoid(m.ambient_rank, tuple(_cone_points_minimal(m, False)))
 
 
 def is_saturated(m: ToricMonoid) -> bool:
     """True when the monoid contains every point of its cone that lies in
-    its own group lattice (saturation is intrinsic, not ambient).
+    its own group lattice (saturation is intrinsic, not ambient); raises
+    NotSharp when the cone has a line.
 
     The saturation is generated by the box-minimal cone points, so the
-    monoid is saturated exactly when each of them is in it.  In a sharp
-    monoid that means each is a generator: a box-minimal point that is a sum
-    of two or more generators would be reduced by one of them, and the
-    generators are box points.  Sharpness is read off the same facet pass.
+    monoid is saturated exactly when each of them is in it, that is, when
+    each is a generator: a box-minimal point that is a sum of two or more
+    generators would be reduced by one of them, and the generators are box
+    points.
     """
     if not m.generators:
         raise ZeroMonoid("monoid has no generators")
-    minimal, pointed = _cone_points_minimal(m, True)
-    # The inclusion test needs sharpness; a cone with a line leaves no
-    # box-minimal points, as each is reduced along the line.
-    if minimal and not pointed:
-        raise NotSharp("membership search requires a sharp monoid")
-    return set(minimal) <= set(m.generators)
+    return set(_cone_points_minimal(m, True)) <= set(m.generators)
 
 
 class KummerExtension(Record):

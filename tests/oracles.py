@@ -7,7 +7,8 @@ decides cone membership with one exact LP per box point, through the
 production `nonneg_combination`, which the facet-normal route under test does
 not use, and lattice membership through the production `group_lattice` and
 `in_row_span`; membership in the monoid itself is listed by
-`contains_by_enumeration`.  The ray and face oracles answer each direction and
+`contains_by_enumeration`, and sharpness by `_grading`'s search for a
+grading or a zero sum.  The ray and face oracles answer each direction and
 each ray subset with one exact LP, through `nonneg_combination` and
 `separating_functional`, where the production kernel reads integer facet
 normals.  The enumeration oracle sorts by the production
@@ -330,14 +331,17 @@ def nc_rows_from_labels(desc) -> list[tuple]:
 def cone_points_minimal_by_lp(m, lattice) -> list[tuple[int, ...]]:
     """Minimal generators of the cone's lattice points within the generator
     box, with one exact LP per point tested; lattice=None means the ambient
-    lattice, else a Hermite basis of the lattice."""
-    from logsod.errors import BoxTooLarge
+    lattice, else a Hermite basis of the lattice.  Raises NotSharp when the
+    cone has a line."""
+    from logsod.errors import BoxTooLarge, NotSharp
     from logsod.intlinalg import in_row_span, nonneg_combination
 
     lo = [sum(min(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     hi = [sum(max(0, g[k]) for g in m.generators) for k in range(m.ambient_rank)]
     if math.prod(h - l + 1 for l, h in zip(lo, hi)) > 2_000_000:
         raise BoxTooLarge("generator box too large for desk-scale saturation")
+    if not is_sharp_by_grading(m):
+        raise NotSharp("membership search requires a sharp monoid")
     gens = sorted(set(m.generators))
     seen: dict[tuple[int, ...], bool] = {}
 
@@ -424,6 +428,13 @@ def contains_by_enumeration(m, vec) -> bool:
             return True
         seen = seen | frontier
     return False
+
+
+def is_sharp_by_grading(m) -> bool:
+    """Sharpness without facets: by Gordan's alternative the generators have
+    a grading exactly when no nonzero nonnegative integer combination of
+    them sums to zero, and `_grading` finds the one or the other."""
+    return _grading(sorted(set(m.generators)), (0,) * m.ambient_rank) is not None
 
 
 def _grading(gens, target):

@@ -40,6 +40,9 @@ SQUARE_SCENE = {
     "rank": 3,
     "generators": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]],
 }
+# A cone with a line, which has no indecomposables, no saturation verdict
+# and no simplicial ray set.
+HALF_PLANE_SCENE = {"kind": "monoid", "rank": 2, "generators": [[1, 0], [-1, 0], [0, 1]]}
 LINE_SCENE = {
     "kind": "snc",
     "components": ["D"],
@@ -152,6 +155,14 @@ class TestMonoidCommand:
         code, _, err = run_cli(capsys, ["monoid", write_scene(tmp_path, LINE_SCENE)])
         assert code == EXIT_PARSE
         assert "monoid scene" in err
+
+    @pytest.mark.parametrize("command, message", [
+        ("monoid", "indecomposables exist only in sharp monoids"),
+        ("kummer", "extremal rays are linearly dependent"),
+    ])
+    def test_half_plane_is_refused(self, tmp_path, capsys, command, message):
+        code, out, err = run_cli(capsys, [command, write_scene(tmp_path, HALF_PLANE_SCENE)])
+        assert (code, out, err) == (EXIT_DOMAIN, "", f"error: {message}\n")
 
 
 class TestKummerCommand:

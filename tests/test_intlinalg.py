@@ -180,6 +180,38 @@ class TestRankAgainstOracle:
         assert rational_rank(rows) == rank(rows)
 
 
+@st.composite
+def consistent_systems(draw, entries):
+    """Rows from low_rank_rows and b = A x0, x0 drawn from `entries`: the
+    systems are consistent and mostly rank-deficient."""
+    rows = draw(low_rank_rows(entries))
+    x0 = [draw(entries) for _ in rows[0]]
+    return rows, [sum(a * x for a, x in zip(row, x0)) for row in rows]
+
+
+def assert_pivot_solution(rows, b, x):
+    """x solves the system, in Fractions, with every variable off sympy's
+    rref pivot columns at zero."""
+    assert all(isinstance(v, Fraction) for v in x)
+    assert [sum(c * v for c, v in zip(row, x)) for row in rows] == b
+    _, pivots = sympy.Matrix(rows).rref()
+    assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
+
+
+class TestSolveConsistentLowRank:
+    @settings(max_examples=200, deadline=None)
+    @given(consistent_systems(_ints))
+    def test_int_systems(self, system):
+        rows, b = system
+        assert_pivot_solution(rows, b, solve_linear(rows, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(consistent_systems(st.builds(Fraction, _ints, st.integers(1, 12))))
+    def test_fraction_systems(self, system):
+        rows, b = system
+        assert_pivot_solution(rows, b, solve_linear(rows, b))
+
+
 class TestEliminationAgainstSympy:
     @settings(max_examples=200, deadline=None)
     @given(systems())
@@ -195,12 +227,8 @@ class TestEliminationAgainstSympy:
         consistent = a.rank() == a.row_join(sympy.Matrix(b)).rank()
         x = solve_linear(rows, b)
         assert (x is not None) == consistent
-        if x is None:
-            return
-        assert all(isinstance(v, Fraction) for v in x)
-        assert [sum(c * v for c, v in zip(row, x)) for row in rows] == b
-        _, pivots = a.rref()
-        assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
+        if x is not None:
+            assert_pivot_solution(rows, b, x)
 
 
 class TestFeasibility:

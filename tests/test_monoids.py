@@ -41,6 +41,7 @@ from oracles import (
     extremal_rays_by_lp,
     face_strata_by_lp,
     is_saturated_by_lp,
+    is_sharp_by_grading,
     kummer_is_minimal,
     primitive,
     rank,
@@ -240,6 +241,25 @@ class TestSaturate:
         assert saturate(m) == m
 
     @pytest.mark.parametrize("check", [saturate, is_saturated])
+    @pytest.mark.parametrize("gens", [
+        # Not saturated in Z^2: (0, 1) is in the cone, but every element's
+        # second coordinate is 2c + 3d.
+        ((1, 0), (-1, 0), (0, 2), (1, 3)),
+        ((1, 0), (-1, 0), (0, 1)),
+        ((1,), (-1,)),
+    ])
+    def test_cone_with_a_line_is_refused(self, check, gens):
+        m = ToricMonoid(len(gens[0]), gens)
+        assert not is_sharp_by_grading(m)
+        with pytest.raises(NotSharp, match="membership search requires a sharp monoid"):
+            check(m)
+
+    @pytest.mark.parametrize("check", [saturate, is_saturated])
+    def test_zero_monoid_is_refused(self, check):
+        with pytest.raises(ZeroMonoid):
+            check(ToricMonoid(2, ()))
+
+    @pytest.mark.parametrize("check", [saturate, is_saturated])
     def test_box_guard_is_documented_error(self, check):
         # 3,000,002 box points, over the 2,000,000 cap: refused before any LP.
         with pytest.raises(BoxTooLarge, match="generator box too large") as info:
@@ -305,8 +325,9 @@ class TestSaturationAgainstLp:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monoids, "_cone_membership", checking)
             _outcome(is_saturated, m)
-            saturate(m)
-        assert tested
+            _outcome(saturate, m)
+        # A cone with a line is refused before any point is tested.
+        assert bool(tested) == is_sharp_by_grading(m)
 
 
 class TestThinConesAgainstLp:
