@@ -44,7 +44,6 @@ __all__ = [
     "in_component_order",
     "is_simple",
     "nc_from_json",
-    "normalize_stratum",
     "normalized_names",
     "snc_from_divisors",
     "snc_of_simple",
@@ -265,12 +264,6 @@ class NcComplex(Record):
         _set(self, "closure_pairs", closure_pairs)
         _set(self, "ambient_dim", ambient_dim)
 
-    def crossing(self, name: str) -> Crossing:
-        for s in self.crossings:
-            if s.name == name:
-                return s
-        raise UnknownStratum(f"no crossing named {name!r}")
-
     def to_json(self) -> dict:
         return {
             "components": list(self.components),
@@ -407,21 +400,6 @@ def strictify(nc: NcComplex) -> tuple[SncComplex, BlowupLog]:
     return snc_of_simple(simple), log
 
 
-def normalize_stratum(nc: NcComplex, stratum) -> list[tuple[str, int]]:
-    """Labels (with multiplicities) of the normalization of a stratum.
-
-    A component label normalizes to a single label; a simple crossing stays
-    itself; a non-simple crossing splits into one label per branch since the
-    normalization separates the sheets through it.
-    """
-    if stratum in set(nc.components):
-        return [(str(stratum), 1)]
-    s = nc.crossing(str(stratum))
-    if s.is_simple():
-        return [(s.name, 1)]
-    return [(f"{s.name}@{i}", 1) for i in range(1, s.codim + 1)]
-
-
 def normalized_names(
     simple: NcComplex, stratum
 ) -> Optional[tuple[tuple[str, int], ...]]:
@@ -430,11 +408,10 @@ def normalized_names(
 
     simple is strictify_nc's complex of the original pair.  The empty
     stratum is the total space X; a component, original or exceptional,
-    normalizes to itself (as in normalize_stratum); a deeper stratum lists
-    the crossings of simple whose components are exactly the stratum,
-    sorted by name, a blow-up crossing pointing back to the branch it
-    separated.  None when no
-    crossing of simple has those components.
+    normalizes to itself; a deeper stratum lists the crossings of simple
+    whose components are exactly the stratum, sorted by name, a blow-up
+    crossing written S@i for the branch i of the crossing S it separated.
+    None when no crossing of simple has those components.
     """
     s = frozenset(stratum)
     if not s:

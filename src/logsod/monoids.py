@@ -546,7 +546,8 @@ def face_strata(m: ToricMonoid) -> Preorder:
                 if all(pos[r] & through for r in rays if r not in sub):
                     faces.append(sub)
     faces.sort(key=lambda f: (rational_rank(f), f))
-    pairs = [
-        (a, b) for a in faces for b in faces if set(a) <= set(b)
-    ]
-    return Preorder.from_pairs(faces, pairs)
+    # Face i lies in face j when i's rays, as a bitmask, are among j's.
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    masks = [sum(bit[r] for r in f) for f in faces]
+    rows = [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks]
+    return Preorder(faces, rows)

@@ -2,16 +2,15 @@
 
 Characters are rationals in (-1, 0] representing classes in Q/Z.  The module
 provides the standard numeric order, the factorial order used to sequence
-root-of-unity twists across the factorial tower Z_{n!}, normal factorial
-forms, finite preorders with joins, and enumeration of character vectors
-grouped by support.
+root-of-unity twists across the factorial tower Z_{n!}, the first tower
+level of a character, enumeration of character vectors by support, and the
+finite preorder in which monoids.face_strata returns the face lattice.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from itertools import product, repeat
 from operator import neg
@@ -28,25 +27,18 @@ if TYPE_CHECKING:
 __all__ = [
     "Character",
     "CharVector",
-    "FactorialForm",
     "Preorder",
     "Rel",
-    "as_vector",
     "cmp_factorial_scalar",
     "cmp_factorial_vector",
-    "cmp_product",
     "cmp_standard",
     "enumerate_characters",
     "factorial_scalar_key",
     "factorial_vector_key",
     "first_level",
-    "join",
     "mod_one",
-    "normal_factorial_form",
     "stage_level",
     "stage_size",
-    "strata_preorder",
-    "support_partition",
     "vector_first_level",
 ]
 
@@ -97,19 +89,11 @@ class Character(Record):
     def zero(cls) -> "Character":
         return cls(0, 1)
 
-    @classmethod
-    def from_pair(cls, pair: Sequence[int]) -> "Character":
-        p, q = pair
-        return cls(int(p), int(q))
-
     @property
     def value(self) -> Fraction:
         from fractions import Fraction
 
         return Fraction(-self.p, self.q)
-
-    def is_zero(self) -> bool:
-        return self.p == 0
 
     def to_pair(self) -> list[int]:
         return [self.p, self.q]
@@ -119,35 +103,6 @@ class Character(Record):
 
 
 CharVector = tuple[Character, ...]
-
-
-def as_vector(entries: Iterable[Character | Fraction | int]) -> CharVector:
-    """Coerce a sequence of characters or rationals to a character vector."""
-    return tuple(e if isinstance(e, Character) else Character.of(e) for e in entries)
-
-
-class FactorialForm(Record):
-    """Expression of a character as -p/n! with n minimal; zero is (0, 1)."""
-
-    __slots__ = ("p", "n")
-
-    def __init__(self, p: int, n: int) -> None:
-        if n < 1 or p < 0:
-            raise ValueError(f"invalid factorial form ({p}, {n})")
-        # -p/n! already lives at level n-1 exactly when n divides p.
-        if p == 0:
-            if n != 1:
-                raise ValueError("zero must be written at level 1")
-        elif p >= math.factorial(n) or (n > 1 and p % n == 0):
-            raise ValueError(f"({p}, {n}) is not a minimal-level form")
-        _set(self, "p", p)
-        _set(self, "n", n)
-
-    @property
-    def value(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(-self.p, math.factorial(self.n))
 
 
 def first_level(x: Character) -> int:
@@ -194,12 +149,6 @@ def stage_size(stage: int, k: int, bound: int) -> Optional[int]:
         fact *= n
         size = fact ** k
     return size if size < bound else None
-
-
-def normal_factorial_form(x: Character) -> FactorialForm:
-    """Write x as -p/n! with n minimal (the character's first tower level)."""
-    n = first_level(x)
-    return FactorialForm(x.p * (math.factorial(n) // x.q), n)
 
 
 def vector_first_level(chi: Sequence[Character]) -> int:
@@ -258,13 +207,6 @@ def cmp_factorial_vector(chi: Sequence[Character], psi: Sequence[Character]) -> 
     return _componentwise(tuple(cmp_factorial_scalar(a, b) for a, b in zip(chi, psi)))
 
 
-def cmp_product(chi: Sequence[Character], psi: Sequence[Character]) -> Rel:
-    """Componentwise numeric order on character vectors."""
-    if len(chi) != len(psi):
-        raise LengthMismatch(f"vector lengths differ: {len(chi)} vs {len(psi)}")
-    return _componentwise(tuple(cmp_standard(a, b) for a, b in zip(chi, psi)))
-
-
 def _componentwise(rels: tuple[Rel, ...]) -> Rel:
     if all(r is Rel.EQ for r in rels):
         return Rel.EQ
@@ -288,7 +230,8 @@ class Preorder:
     """Finite preorder: opaque labels plus a reflexive transitive relation.
 
     The relation is stored as one bitmask per element; bit j of row i records
-    elements[i] <= elements[j].
+    elements[i] <= elements[j].  It stays public because monoids.face_strata
+    returns the face lattice as one, and callers read its elements.
     """
 
     def __init__(self, elements: Sequence, rows: Sequence[int]):
@@ -315,65 +258,14 @@ class Preorder:
                         f"relation not transitive through {self.elements[j]!r}"
                     )
 
-    @classmethod
-    def from_pairs(cls, elements: Sequence, pairs: Iterable[tuple], *, close: bool = False) -> "Preorder":
-        """Build from (below, above) label pairs.  With close=True the
-        reflexive transitive closure is taken; otherwise the pairs must
-        already form a preorder."""
-        index = {e: i for i, e in enumerate(elements)}
-        rows = [1 << i for i in range(len(elements))]
-        for a, b in pairs:
-            rows[index[a]] |= 1 << index[b]
-        if close:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(rows)):
-                    r, acc = rows[i], rows[i]
-                    while r:
-                        j = (r & -r).bit_length() - 1
-                        r &= r - 1
-                        acc |= rows[j]
-                    if acc != rows[i]:
-                        rows[i] = acc
-                        changed = True
-        return cls(elements, rows)
-
-    @classmethod
-    def antichain(cls, elements: Sequence) -> "Preorder":
-        return cls(elements, [1 << i for i in range(len(elements))])
-
-    @classmethod
-    def chain(cls, elements: Sequence) -> "Preorder":
-        n = len(elements)
-        full = (1 << n) - 1
-        return cls(elements, [full ^ ((1 << i) - 1) for i in range(n)])
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def leq(self, a, b) -> bool:
         return bool(self._rows[self._index[a]] & (1 << self._index[b]))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """All related index pairs (i, j) with elements[i] <= elements[j]."""
-        out = []
-        for i, row in enumerate(self._rows):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                r &= r - 1
-                out.append((i, j))
-        return out
-
     def rows(self) -> tuple[int, ...]:
         return self._rows
-
-    def to_json(self) -> dict:
-        return {
-            "elements": [_encode_label(e) for e in self.elements],
-            "pairs": [list(p) for p in self.pairs()],
-        }
 
     def __eq__(self, other) -> bool:
         return (
@@ -383,60 +275,8 @@ class Preorder:
         )
 
     def __repr__(self) -> str:
-        return f"Preorder({len(self.elements)} elements, {len(self.pairs())} pairs)"
-
-
-def _encode_label(label):
-    if isinstance(label, frozenset):
-        return sorted(label)
-    if isinstance(label, tuple):
-        return [_encode_label(x) for x in label]
-    return label
-
-
-def join(first: Preorder, second: Preorder) -> Preorder:
-    """Disjoint union keeping internal relations, with every element of the
-    first preorder below every element of the second.
-
-    Colliding labels are disambiguated by wrapping as (1, label) on the first
-    side and (2, label) on the second.
-    """
-    left, right = first.elements, second.elements
-    if set(left) & set(right):
-        left = tuple((1, e) for e in left)
-        right = tuple((2, e) for e in right)
-    n, m = len(left), len(right)
-    above = ((1 << m) - 1) << n
-    rows = [row | above for row in first.rows()]
-    rows += [row << n for row in second.rows()]
-    return Preorder(left + right, rows)
-
-
-def strata_preorder(components: Iterable, ambient_dim: int) -> Preorder:
-    """Preorder on subsets of the component set: larger subsets (deeper
-    strata) come first, subsets of equal size are mutually related.
-
-    Warns when ambient_dim is less than the component count, where distinct
-    strata of a crossings divisor could not all be nonempty.
-    """
-    labels = tuple(components)
-    if len(set(labels)) != len(labels):
-        raise ValueError("component labels must be distinct")
-    if ambient_dim < len(labels):
-        warnings.warn(
-            f"ambient dimension {ambient_dim} below component count {len(labels)}",
-            stacklevel=2,
-        )
-    subsets = _subsets(labels)
-    subsets.sort(key=lambda s: (-len(s), sorted(map(_sort_token, s))))
-    rows = []
-    for s in subsets:
-        row = 0
-        for j, t in enumerate(subsets):
-            if len(s) >= len(t):
-                row |= 1 << j
-        rows.append(row)
-    return Preorder(subsets, rows)
+        pairs = sum(r.bit_count() for r in self._rows)
+        return f"Preorder({len(self.elements)} elements, {pairs} pairs)"
 
 
 def _subsets(labels: Iterable) -> list[frozenset]:
@@ -609,8 +449,3 @@ def _is_prime(n: int) -> bool:
             return False
     return True
 
-
-def support_partition(chi: Sequence[Character]) -> frozenset[int]:
-    """Indices (1-based) of the nonzero coordinates: the unique support set
-    placing the vector in the disjoint decomposition by supports."""
-    return frozenset(i + 1 for i, c in enumerate(chi) if not c.is_zero())

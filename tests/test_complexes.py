@@ -25,7 +25,6 @@ from logsod.complexes import (
     fixed_locus_index,
     is_simple,
     nc_from_json,
-    normalize_stratum,
     normalized_names,
     snc_from_divisors,
     snc_of_simple,
@@ -321,21 +320,6 @@ class TestStrictify:
     def test_snc_of_simple_rejects_non_simple(self):
         with pytest.raises(UnsupportedConfiguration):
             snc_of_simple(NODAL)
-
-
-class TestNormalizeStratum:
-    def test_component_normalizes_once(self):
-        assert normalize_stratum(NODAL, "C") == [("C", 1)]
-
-    def test_node_splits_per_branch(self):
-        assert normalize_stratum(NODAL, "N") == [("N@1", 1), ("N@2", 1)]
-
-    def test_simple_stratum_unchanged(self):
-        assert normalize_stratum(SIMPLE_X, "S") == [("S", 1)]
-
-    def test_unknown(self):
-        with pytest.raises(UnknownStratum):
-            normalize_stratum(NODAL, "Z")
 
 
 class TestCanonicalRootPair:

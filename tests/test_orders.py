@@ -1,7 +1,7 @@
-"""Character order tests: frozen chains, axioms, enumeration, preorders."""
+"""Character order tests: frozen chains, axioms, first levels, enumeration,
+and the preorder checks that face_strata's face lattice relies on."""
 
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -12,32 +12,36 @@ from logsod.errors import LengthMismatch
 from logsod.orders import (
     PRIME_TEST_BOUND,
     Character,
-    FactorialForm,
     Preorder,
     Rel,
-    as_vector,
     cmp_factorial_scalar,
     cmp_factorial_vector,
-    cmp_product,
     cmp_standard,
     enumerate_characters,
     factorial_scalar_key,
     factorial_vector_key,
     first_level,
-    join,
     mod_one,
-    normal_factorial_form,
     stage_level,
     stage_size,
-    strata_preorder,
-    support_partition,
     vector_first_level,
     _is_prime,
 )
-from oracles import cmp_factorial_recursive, enumerate_characters_by_key, interleaving_chain, mod1
+from oracles import (
+    _first_level,
+    cmp_factorial_recursive,
+    enumerate_characters_by_key,
+    interleaving_chain,
+    mod1,
+)
 
 C = Character.of
 F = Fraction
+
+
+def as_vector(values):
+    """Character vector of the given rationals."""
+    return tuple(C(v) for v in values)
 
 
 def full_level(n):
@@ -77,7 +81,7 @@ class TestCharacter:
 
     def test_pair_roundtrip(self):
         for x in full_level(4):
-            assert Character.from_pair(x.to_pair()) == x
+            assert Character(*x.to_pair()) == x
 
     def test_str(self):
         assert str(C(F(-1, 2))) == "-1/2"
@@ -93,6 +97,8 @@ class TestModOne:
 
 
 class TestNormalFactorialForm:
+    """x = -p/n! with n minimal: n is first_level(x), p the numerator over n!."""
+
     @pytest.mark.parametrize(
         "value,p,n",
         [
@@ -105,39 +111,15 @@ class TestNormalFactorialForm:
         ],
     )
     def test_frozen(self, value, p, n):
-        form = normal_factorial_form(C(value))
-        assert (form.p, form.n) == (p, n)
+        x = C(value)
+        assert first_level(x) == n
+        assert C(F(-p, math.factorial(n))) == x
 
     def test_roundtrip_and_minimality(self):
         for x in full_level(5):
-            form = normal_factorial_form(x)
-            assert C(form.value) == x
-            assert first_level(C(form.value)) == form.n
-
-    def test_form_validation(self):
-        with pytest.raises(ValueError):
-            FactorialForm(2, 2)  # -2/2! = -1 is out of range
-        with pytest.raises(ValueError):
-            FactorialForm(3, 3)  # -3/3! = -1/2 lives at level 2
-        with pytest.raises(ValueError):
-            FactorialForm(0, 2)
-
-    def test_form_validation_matches_fraction_check(self):
-        # Reference: -p/n! must lie in (-1, 0] and its reduced denominator
-        # must not divide (n-1)!.
-        for n in range(1, 6):
-            fact = math.factorial(n)
-            for p in range(fact + 2):
-                red = F(p, fact)
-                bad = (n != 1) if p == 0 else red >= 1 or (
-                    n > 1 and math.factorial(n - 1) % red.denominator == 0
-                )
-                if bad:
-                    with pytest.raises(ValueError):
-                        FactorialForm(p, n)
-                else:
-                    assert FactorialForm(p, n).value == -red
-
+            n = first_level(x)
+            assert n == _first_level(x.value)
+            assert C(F(-x.p * (math.factorial(n) // x.q), math.factorial(n))) == x
 
 class TestStageLevel:
     def test_levels(self):
@@ -325,22 +307,6 @@ class TestFactorialVector:
         assert vector_first_level(()) == 1
 
 
-class TestProductOrder:
-    def test_frozen(self):
-        assert cmp_product(
-            as_vector([F(-1, 2), F(-2, 3)]), as_vector([F(-1, 2), F(-1, 3)])
-        ) is Rel.LT
-        assert cmp_product(
-            as_vector([F(-1, 2), 0]), as_vector([0, F(-1, 2)])
-        ) is Rel.INCOMPARABLE
-        v = as_vector([F(-1, 2), 0])
-        assert cmp_product(v, v) is Rel.EQ
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            cmp_product(as_vector([0]), as_vector([0, 0]))
-
-
 class TestPreorder:
     def test_reflexivity_enforced(self):
         with pytest.raises(ValueError):
@@ -352,77 +318,12 @@ class TestPreorder:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            Preorder.antichain(["a", "a"])
-
-    def test_from_pairs_closure(self):
-        p = Preorder.from_pairs(
-            ["a", "b", "c"], [("a", "b"), ("b", "c")], close=True
-        )
-        assert p.leq("a", "c")
-        assert not p.leq("c", "a")
+            Preorder(["a", "a"], [0b01, 0b10])
 
     def test_from_pairs_strict_rejects_open(self):
-        with pytest.raises(ValueError):
-            Preorder.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")])
-
-    def test_chain_and_antichain(self):
-        ch = Preorder.chain(["x", "y", "z"])
-        assert ch.leq("x", "z") and not ch.leq("z", "x")
-        an = Preorder.antichain(["x", "y"])
-        assert not an.leq("x", "y") and not an.leq("y", "x")
-
-    def test_json_shape(self):
-        p = Preorder.chain(["x", "y"])
-        js = p.to_json()
-        assert js["elements"] == ["x", "y"]
-        assert sorted(js["pairs"]) == [[0, 0], [0, 1], [1, 1]]
-
-
-class TestJoin:
-    def test_singletons_make_chain(self):
-        j = join(Preorder.antichain(["a"]), Preorder.antichain(["b"]))
-        assert j.leq("a", "b") and not j.leq("b", "a")
-        assert len(j.pairs()) == 3
-
-    def test_size_additive(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            p = _random_preorder(rng, "p")
-            q = _random_preorder(rng, "q")
-            assert len(join(p, q)) == len(p) + len(q)
-
-    def test_antichain_then_chain_pair_count(self):
-        j = join(Preorder.antichain(["a", "b"]), Preorder.chain(["x", "y"]))
-        # 4 reflexive + 1 chain pair + 4 cross pairs
-        assert len(j.pairs()) == 9
-
-    def test_collision_relabeling(self):
-        j = join(Preorder.antichain(["a"]), Preorder.antichain(["a"]))
-        assert j.elements == ((1, "a"), (2, "a"))
-        assert j.leq((1, "a"), (2, "a"))
-
-    def test_associativity(self):
-        rng = random.Random(9)
-        for _ in range(15):
-            p = _random_preorder(rng, "p")
-            q = _random_preorder(rng, "q")
-            r = _random_preorder(rng, "r")
-            left = join(join(p, q), r)
-            right = join(p, join(q, r))
-            assert left.rows() == right.rows()
-            assert len(left) == len(right)
-
-
-def _random_preorder(rng, prefix):
-    n = rng.randint(1, 4)
-    labels = [f"{prefix}{i}" for i in range(n)]
-    pairs = []
-    for a in labels:
-        for b in labels:
-            if a != b and rng.random() < 0.3:
-                pairs.append((a, b))
-    return Preorder.from_pairs(labels, pairs, close=True)
-
+        # a <= b <= c <= a with none of the three closing pairs.
+        with pytest.raises(ValueError, match="not transitive"):
+            Preorder(["a", "b", "c"], [0b011, 0b110, 0b101])
 
 class TestEnumerate:
     def test_single_support_star(self):
@@ -480,7 +381,7 @@ class TestEnumerate:
         full = enumerate_characters(orders, {1, 2, 3})
         buckets: dict[frozenset, int] = {}
         for v, _ in full:
-            sup = support_partition(v)
+            sup = frozenset(i + 1 for i, c in enumerate(v) if c.p)
             buckets[sup] = buckets.get(sup, 0) + 1
         for mask in range(1 << 3):
             sup = frozenset(i + 1 for i in range(3) if mask >> i & 1)
@@ -515,7 +416,7 @@ class TestEnumerate:
         axis = [Character.of(F(-k, r)) for k in range(r - 1, -1, -1)]
         want = [
             (c,) for c in axis
-            if not (star and c.is_zero()) and (prime_to is None or c.q % prime_to)
+            if not (star and c.p == 0) and (prime_to is None or c.q % prime_to)
         ]
         want.sort(key=factorial_vector_key)
         got = enumerate_characters([r], {1}, star=star, prime_to=prime_to)
@@ -589,45 +490,3 @@ class TestIsPrime:
         with pytest.raises(ValueError, match=f"^prime_to must be below {PRIME_TEST_BOUND}, "):
             _is_prime(PRIME_TEST_BOUND)
 
-
-class TestSupportPartition:
-    def test_frozen(self):
-        assert support_partition(as_vector([0, F(-1, 3), F(-1, 2)])) == {2, 3}
-        assert support_partition(as_vector([0, 0])) == frozenset()
-
-
-class TestStrataPreorder:
-    def test_two_components(self):
-        s = strata_preorder([1, 2], 2)
-        both, one, two, empty = (
-            frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset()
-        )
-        assert s.leq(both, one) and s.leq(one, empty)
-        assert s.leq(one, two) and s.leq(two, one)
-        assert not s.leq(empty, one)
-        assert not s.leq(one, both)
-
-    def test_element_listing_order(self):
-        s = strata_preorder([1, 2], 2)
-        assert [sorted(e) for e in s.elements] == [[1, 2], [1], [2], []]
-
-    def test_singleton_is_two_chain(self):
-        s = strata_preorder(["D"], 3)
-        assert s.leq(frozenset({"D"}), frozenset())
-        assert not s.leq(frozenset(), frozenset({"D"}))
-        assert len(s) == 2
-
-    def test_low_dimension_warns(self):
-        with pytest.warns(UserWarning):
-            strata_preorder([1, 2, 3], 2)
-
-    def test_size_and_axioms(self):
-        s = strata_preorder([1, 2, 3, 4], 4)
-        assert len(s) == 16
-        for a in s.elements:
-            for b in s.elements:
-                assert s.leq(a, b) == (len(a) >= len(b))
-
-    def test_duplicate_components_rejected(self):
-        with pytest.raises(ValueError):
-            strata_preorder([1, 1], 2)

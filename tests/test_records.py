@@ -30,7 +30,7 @@ from logsod.complexes import (
 from logsod.decompose import DecompositionReport, InvariantAssignment, ReportRow
 from logsod.errors import TooManyLabels
 from logsod.monoids import KummerExtension, ToricMonoid
-from logsod.orders import Character, FactorialForm
+from logsod.orders import Character
 from logsod.psod import FactorLabel, PsodDescriptor
 from logsod.selfcheck import CheckResult, SelfcheckReport
 
@@ -47,7 +47,6 @@ CHECK = CheckResult("c", True, "d")
 #  the defaults of the fields that have one)
 EXAMPLES = [
     (Character, {"p": 1, "q": 3}, {"p": 2, "q": 4}, {}),
-    (FactorialForm, {"p": 1, "n": 3}, {"p": 2, "n": 4}, {}),
     (ToricMonoid, {"ambient_rank": 2, "generators": ()},
      {"ambient_rank": 3, "generators": ((1, 0),)}, {}),
     (KummerExtension,
@@ -122,7 +121,7 @@ def test_every_value_class_has_an_example():
             if sub.__module__.startswith("logsod."):
                 found.add(sub)
     assert found == {ex[0] for ex in EXAMPLES}
-    assert len(found) == 18
+    assert len(found) == 17
 
 
 @pytest.mark.parametrize("cls, fields, other, defaults", CLASSES)
@@ -211,11 +210,6 @@ def test_repr_literals():
     (lambda: Character(2, 2), ValueError, "character pair out of range: (2, 2)"),
     (lambda: Character(0, 0), ValueError, "character pair out of range: (0, 0)"),
     (lambda: Character(2, 4), ValueError, "character pair not reduced: (2, 4)"),
-    (lambda: FactorialForm(1, 0), ValueError, "invalid factorial form (1, 0)"),
-    (lambda: FactorialForm(-1, 2), ValueError, "invalid factorial form (-1, 2)"),
-    (lambda: FactorialForm(0, 2), ValueError, "zero must be written at level 1"),
-    (lambda: FactorialForm(6, 3), ValueError, "(6, 3) is not a minimal-level form"),
-    (lambda: FactorialForm(3, 3), ValueError, "(3, 3) is not a minimal-level form"),
     (lambda: ToricMonoid(0, ()), ValueError, "ambient rank must be positive"),
     (lambda: ToricMonoid(2, ((1,),)), ValueError, "generator (1,) has wrong length"),
     (lambda: ToricMonoid(1, ((0,),)), ValueError, "zero generator not allowed"),
